@@ -19,14 +19,7 @@ type msg =
   | Replay of { requester : int }
   | Stop
 
-module Key = struct
-  type t = string * Tuple.t
-
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ktbl = Hashtbl.Make (Key)
+module Ktbl = Router.Ktbl
 
 (* One unacknowledged batch awaiting its transport ack. *)
 type pending = {
@@ -47,6 +40,8 @@ type proc_state = {
   mutable received : int;
   mutable accepted : int;
   channel_seen : unit Ktbl.t array;  (* per destination *)
+  (* Self-routed on the local-delivery path, not yet injected. *)
+  local : (Router.route * Tuple.t) Queue.t;
   base_resident : int;
   (* Reliable-delivery state: stable across crashes, like the
      detector counters — only the engine is volatile. *)
@@ -73,7 +68,6 @@ type proc_state = {
 
 type worker_result = {
   wr_pid : int;
-  wr_db : Database.t;
   wr_stats : Seminaive.stats;
   wr_sent_row : int array;
   wr_received : int;
@@ -93,21 +87,6 @@ type worker_extra = {
   we_bulk_messages : int;
 }
 
-let build_edb (rw : Rewrite.t) edb pid =
-  let local = Database.create () in
-  List.iter
-    (fun pred ->
-      match Database.find edb pred with
-      | None -> ()
-      | Some rel ->
-        let target = Database.declare local pred (Relation.arity rel) in
-        Relation.iter
-          (fun t ->
-            if rw.resident pid pred t then ignore (Relation.add target t))
-          rel)
-    (Database.predicates edb);
-  local
-
 (* Wall-clock retransmission backoff, bounded like the simulated
    runtime's round-based one. *)
 let retry_delay attempt = 0.001 *. float_of_int (1 lsl min attempt 6)
@@ -120,11 +99,16 @@ let retry_delay attempt = 0.001 *. float_of_int (1 lsl min attempt 6)
    created and bootstrapped here; a [Some] slot is adopted as-is — its
    pending injections are drained by the ordinary step loop. *)
 let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
-    (rw : Rewrite.t) mailboxes ~domain_of ~own_pids ~engines ~channel_seen
-    local_edbs my_domain =
+    (rw : Rewrite.t) ~routes mailboxes ~domain_of ~own_pids ~engines
+    ~channel_seen local_edbs my_domain =
   let n = rw.nprocs in
   let faulty = not (Fault.is_none plan) in
   let credited = capacity <> None in
+  (* Local delivery (the paper's Q_i case h(v(r)) = i): with no fault
+     to replay and no credit to gate, a self-routed tuple bypasses the
+     mailbox — and with it the termination detector, for which it is
+     internal computation — and is injected at the next dispatch. *)
+  let local_delivery = (not faulty) && not credited in
   let tr = obs.Obs.trace in
   let mx = obs.Obs.metrics in
   (* Per-worker wall-clock accumulator (no cross-domain sharing, so no
@@ -169,17 +153,6 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
       end
     done
   in
-  let send_specs_for =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)
-        in
-        Hashtbl.replace tbl s.ss_pred (existing @ [ s ]))
-      rw.sends;
-    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
-  in
   let fresh_pids =
     List.filter (fun pid -> engines.(pid) = None) own_pids
   in
@@ -201,6 +174,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
           received = 0;
           accepted = 0;
           channel_seen = channel_seen.(pid);
+          local = Queue.create ();
           base_resident = Database.total_tuples local_edbs.(pid);
           next_seq = Array.make n 0;
           unacked = Array.init n (fun _ -> Hashtbl.create 8);
@@ -371,7 +345,8 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
     end
   in
   let has_pending_out p =
-    Array.exists (fun q -> not (Queue.is_empty q)) p.pending
+    (not (Queue.is_empty p.local))
+    || Array.exists (fun q -> not (Queue.is_empty q)) p.pending
   in
   let route p produced =
     span ~pid:p.pid ~round:p.local_rounds Obs.Trace.Sending
@@ -379,19 +354,25 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
     let batches = Array.make n [] in
     List.iter
       (fun (out_name, tuple) ->
-        let pred = Rewrite.original_pred out_name in
-        if List.mem pred rw.derived then
+        match Router.of_out routes out_name with
+        | None -> ()
+        | Some r ->
           List.iter
-            (fun (s : Rewrite.send_spec) ->
-              List.iter
-                (fun dst ->
-                  let seen = p.channel_seen.(dst) in
-                  if not (Ktbl.mem seen (pred, tuple)) then begin
-                    Ktbl.add seen (pred, tuple) ();
-                    batches.(dst) <- (pred, tuple) :: batches.(dst)
-                  end)
-                (s.ss_route p.pid tuple))
-            (send_specs_for pred))
+            (fun dst ->
+              if local_delivery && dst = p.pid then begin
+                p.sent_row.(dst) <- p.sent_row.(dst) + 1;
+                Obs.Metrics.incr mx "runtime.tuples_sent";
+                Queue.add (r, tuple) p.local
+              end
+              (* The channel history is kept only under a fault plan,
+                 where a recovering processor needs it replayed;
+                 fault-free, each @out tuple leaves its engine once and
+                 [Router.destinations] lists each channel once. *)
+              else if
+                (not faulty)
+                || Router.mark_new p.channel_seen.(dst) (r.pred, tuple)
+              then batches.(dst) <- (r.pred, tuple) :: batches.(dst))
+            (Router.destinations r p.pid tuple))
       produced;
     (* Adaptive degradation: feed the worst channel demand (this step's
        batch plus what is still deferred or in flight) to the dial. Each
@@ -474,6 +455,23 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
               p.unacked))
       procs
   in
+  let receive p in_name tuple =
+    p.received <- p.received + 1;
+    Obs.Metrics.incr mx "runtime.tuples_received";
+    if Seminaive.inject p.engine in_name tuple then
+      p.accepted <- p.accepted + 1
+  in
+  (* Self-routed tuples are injected where the mailbox is drained and
+     charged to the receiving phase, as their channel would have
+     been. *)
+  let drain_local p =
+    if not (Queue.is_empty p.local) then
+      span ~pid:p.pid ~round:p.local_rounds Obs.Trace.Receiving (fun () ->
+          Queue.iter
+            (fun ((r : Router.route), tuple) -> receive p r.in_name tuple)
+            p.local;
+          Queue.clear p.local)
+  in
   let dispatch = function
     | Data { src; dst; seq; batch } ->
       let p = proc_of dst in
@@ -495,10 +493,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
                 | `Engaged -> ()));
             List.iter
               (fun (pred, tuple) ->
-                p.received <- p.received + 1;
-                Obs.Metrics.incr mx "runtime.tuples_received";
-                if Seminaive.inject p.engine (Rewrite.in_pred pred) tuple
-                then p.accepted <- p.accepted + 1)
+                receive p (Router.find routes pred).in_name tuple)
               batch
           end)
     | Token { dst; token } -> (proc_of dst).held_token <- Some token
@@ -588,7 +583,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
           (fun p ->
             (match limits.Overload.max_store_rows with
              | Some limit when !overload = None ->
-               let rows = Overload.db_rows (Seminaive.database p.engine) in
+               let rows = Overload.db_rows (Seminaive.store p.engine) in
                if rows > limit then begin
                  overload :=
                    Some (Overload.Store_budget { pid = p.pid; rows; limit });
@@ -633,6 +628,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
     if faulty then pump_retransmits ();
     check_limits ();
     List.iter dispatch (note_depth (Mailbox.drain my_mailbox));
+    List.iter drain_local procs;
     (* Dispatching can stage sends (Tack-freed credit, replay
        histories, retransmissions pumped above): deliver them before
        doing local work. *)
@@ -644,9 +640,14 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
           if faulty then maybe_crash p;
           if Seminaive.has_pending p.engine then begin
             worked := true;
-            span ~pid:p.pid ~round:p.local_rounds
-              Obs.Trace.Processing (fun () ->
-                route p (observe_engine p (fun () -> Seminaive.step p.engine)));
+            let produced =
+              span ~pid:p.pid ~round:p.local_rounds
+                Obs.Trace.Processing (fun () ->
+                  observe_engine p (fun () -> Seminaive.step p.engine))
+            in
+            (* Routing has its own Sending span; nesting it inside
+               Processing would count its time twice. *)
+            route p produced;
             p.local_rounds <- p.local_rounds + 1
           end)
         procs;
@@ -696,7 +697,6 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
         let es = Seminaive.stats p.engine in
         {
           wr_pid = p.pid;
-          wr_db = Seminaive.database p.engine;
           wr_stats =
             {
               Seminaive.iterations = es.Seminaive.iterations + p.lost_iterations;
@@ -762,7 +762,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     combined
   in
   let domain_of pid = pid mod ndomains in
-  let local_edbs = Array.init n (fun pid -> build_edb rw edb pid) in
+  let routes = Router.make rw in
+  let local_edbs = Array.init n (fun pid -> Router.build_edb rw edb pid) in
   let own_pids d =
     List.filter (fun pid -> domain_of pid = d) (List.init n Fun.id)
   in
@@ -826,7 +827,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       Array.init n (fun pid ->
           let e = Option.get engines.(pid) in
           let es = Seminaive.stats e in
-          let db = Seminaive.database e in
+          let db = Seminaive.store e in
           let iterations =
             es.Seminaive.iterations + acc_lost_iterations.(pid)
           in
@@ -881,7 +882,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       (function
         | None -> ()
         | Some e ->
-          let db = Seminaive.database e in
+          let db = Seminaive.store e in
           List.iter
             (fun pred ->
               match Database.find db (Rewrite.out_pred pred) with
@@ -903,7 +904,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           Domain.spawn (fun () ->
               try
                 worker detector fault ~capacity ~limits ~dial ~obs ~t0 rw
-                  mailboxes ~domain_of ~own_pids:(own_pids d) ~engines
+                  ~routes mailboxes ~domain_of ~own_pids:(own_pids d) ~engines
                   ~channel_seen local_edbs d
               with e ->
                 (* Poison-pill shutdown: wake every peer blocked in its
@@ -1084,7 +1085,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           | None -> ()
           | Some e ->
             (match
-               Database.find (Seminaive.database e) (Rewrite.out_pred pred)
+               Database.find (Seminaive.store e) (Rewrite.out_pred pred)
              with
              | None -> ()
              | Some rel ->

@@ -11,23 +11,18 @@ type result = Session.result = {
 
 exception Round_budget_exceeded of { round : int; stats : Stats.t }
 
-module Key = struct
-  type t = string * Tuple.t
-
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ktbl = Hashtbl.Make (Key)
+module Ktbl = Router.Ktbl
 
 type proc_state = {
   pid : Pid.t;
   mutable engine : Seminaive.t;  (* replaced on crash recovery *)
-  outbox : (string * Tuple.t) Queue.t;  (* produced, not yet routed *)
+  outbox : (Router.route * Tuple.t) Queue.t;  (* produced, not yet routed *)
   (* delivered, not yet injected; tagged with the sender so receipt can
      return that channel's credit *)
   inbox : (Pid.t * string * Tuple.t) Queue.t;
-  all_out : (string * Tuple.t) Queue.t;  (* cumulative, for resend_all *)
+  (* self-routed on the local-delivery path, not yet injected *)
+  local : (Router.route * Tuple.t) Queue.t;
+  all_out : (Router.route * Tuple.t) Queue.t;  (* cumulative, for resend_all *)
   mutable outbox_peak_rows : int;
   mutable outbox_peak_bytes : int;
   mutable tuples_sent : int;
@@ -42,7 +37,8 @@ type proc_state = {
      that captured the engine alone would leave such a tuple in the
      restored full database (never re-derived) yet absent from every
      channel history (never replayed) — silently lost. *)
-  mutable checkpoint : (Seminaive.snapshot * (string * Tuple.t) list) option;
+  mutable checkpoint :
+    (Seminaive.snapshot * (Router.route * Tuple.t) list) option;
   (* Work done by engines that crashed, folded into the final stats so
      total firings stay honest about redundant re-derivation. *)
   mutable lost_iterations : int;
@@ -66,22 +62,6 @@ type payload = {
 type fmsg =
   | Fdata of { fm_pl : payload; fm_attempt : int }
   | Fack of { fm_sender : Pid.t; fm_receiver : Pid.t; fm_seq : int }
-
-let build_edb ~replicate (rw : Rewrite.t) edb pid =
-  let local = Database.create () in
-  List.iter
-    (fun pred ->
-      match Database.find edb pred with
-      | None -> ()
-      | Some rel ->
-        let target = Database.declare local pred (Relation.arity rel) in
-        Relation.iter
-          (fun t ->
-            if replicate || rw.resident pid pred t then
-              ignore (Relation.add target t))
-          rel)
-    (Database.predicates edb);
-  local
 
 let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let options : Run_config.t = config in
@@ -131,6 +111,12 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   (* With [Fault.none] the delivery layer is bypassed entirely and the
      run takes the exact fault-free code path. *)
   let faulty = not (Fault.is_none plan) in
+  let credited = options.capacity <> None in
+  (* Local delivery, the paper's Q_i case h(v(r)) = i: with no fault to
+     replay and no credit to gate, a self-routed tuple skips the channel
+     queue and the inbox and goes straight to the engine's Δ. *)
+  let local_delivery = (not faulty) && not credited in
+  let routes = Router.make rw in
   if faulty && options.resend_all then
     invalid_arg
       "Sim_runtime.run: resend_all cannot be combined with fault injection \
@@ -165,7 +151,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let procs =
     Array.init nprocs (fun pid ->
         let local_edb =
-          build_edb ~replicate:options.replicate_base rw edb pid
+          Router.build_edb ~replicate:options.replicate_base rw edb pid
         in
         {
           pid;
@@ -174,6 +160,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
               ~edb:local_edb;
           outbox = Queue.create ();
           inbox = Queue.create ();
+          local = Queue.create ();
           all_out = Queue.create ();
           outbox_peak_rows = 0;
           outbox_peak_bytes = 0;
@@ -209,11 +196,11 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let sent_this_round = Array.make_matrix nprocs nprocs 0 in
   let peak_in_flight = ref 0 in
   let credit_stalls = ref 0 in
-  let credited = options.capacity <> None in
-  (* One seen-set per channel: a (pred, tuple) pair travels each channel
-     at most once — the paper's difference-based resend suppression. It
-     doubles as the channel history used to replay deliveries to a
-     recovering processor. *)
+  (* The channel history, kept only under a fault plan: every (pred,
+     tuple) pair a channel carried, replayed to a recovering processor
+     and consulted so that no pair travels a channel twice. A
+     fault-free run needs neither: each @out tuple leaves its engine
+     once and {!Router.destinations} lists each channel once. *)
   let channel_seen = Array.init nprocs (fun _ -> Array.init nprocs
                                             (fun _ -> Ktbl.create 64)) in
   (* Reliable-delivery state. Everything here is stable storage in the
@@ -290,42 +277,31 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     Hashtbl.replace unacked.(src).(dst) seq pl;
     transmit pl
   in
-  let send_specs_for =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)
-        in
-        Hashtbl.replace tbl s.ss_pred (existing @ [ s ]))
-      rw.sends;
-    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
+  (* Message counters tick when a tuple is put on its channel: at the
+     pump, or at routing for a local delivery. *)
+  let count_sent src dst =
+    channel_tuples.(src).(dst) <- channel_tuples.(src).(dst) + 1;
+    procs.(src).tuples_sent <- procs.(src).tuples_sent + 1;
+    sent_this_round.(src).(dst) <- sent_this_round.(src).(dst) + 1;
+    Obs.Metrics.incr mx "runtime.tuples_sent"
   in
-  let route_tuple ~dedup src pred tuple =
+  let route_tuple ~dedup src (r : Router.route) tuple =
     List.iter
-      (fun (s : Rewrite.send_spec) ->
-        List.iter
-          (fun dst ->
-            let fresh =
-              (not dedup)
-              ||
-              let seen = channel_seen.(src.pid).(dst) in
-              if Ktbl.mem seen (pred, tuple) then false
-              else begin
-                Ktbl.add seen (pred, tuple) ();
-                true
-              end
-            in
-            if fresh then begin
-              check_channel src.pid dst;
-              Queue.add (pred, tuple, false) chan_pending.(src.pid).(dst)
-            end)
-          (s.ss_route src.pid tuple))
-      (send_specs_for pred)
+      (fun dst ->
+        check_channel src.pid dst;
+        if local_delivery && dst = src.pid then begin
+          count_sent dst dst;
+          Queue.add (r, tuple) src.local
+        end
+        else if
+          (not (dedup && faulty))
+          || Router.mark_new channel_seen.(src.pid).(dst) (r.pred, tuple)
+        then Queue.add (r.pred, tuple, false) chan_pending.(src.pid).(dst))
+      (Router.destinations r src.pid tuple)
   in
   (* The credit-gated pump: move pending tuples onto the wire while the
-     channel has credit. Message counters tick here (not at routing), so
-     they still mean "tuples actually put on the channel". *)
+     channel has credit. Message counters tick here, so they still mean
+     "tuples actually put on the channel". *)
   let pump () =
     for src = 0 to nprocs - 1 do
       for dst = 0 to nprocs - 1 do
@@ -342,12 +318,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
             && (has_credit () || (stalled := true; false))
           do
             let pred, tuple, replay = Queue.pop q in
-            if not replay then begin
-              channel_tuples.(src).(dst) <- channel_tuples.(src).(dst) + 1;
-              procs.(src).tuples_sent <- procs.(src).tuples_sent + 1;
-              sent_this_round.(src).(dst) <- sent_this_round.(src).(dst) + 1;
-              Obs.Metrics.incr mx "runtime.tuples_sent"
-            end;
+            if not replay then count_sent src dst;
             if credited then begin
               in_flight.(src).(dst) <- in_flight.(src).(dst) + 1;
               if in_flight.(src).(dst) > !peak_in_flight then
@@ -369,11 +340,11 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let collect_new src produced =
     List.iter
       (fun (out_name, tuple) ->
-        let pred = Rewrite.original_pred out_name in
-        if List.mem pred rw.derived then begin
-          Queue.add (pred, tuple) src.outbox;
-          if options.resend_all then Queue.add (pred, tuple) src.all_out
-        end)
+        match Router.of_out routes out_name with
+        | Some r ->
+          Queue.add (r, tuple) src.outbox;
+          if options.resend_all then Queue.add (r, tuple) src.all_out
+        | None -> ())
       produced
   in
   (* Initialization: bootstrap every processor's program; its
@@ -396,7 +367,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         Array.map
           (fun p ->
             let es = Seminaive.stats p.engine in
-            let db = Seminaive.database p.engine in
+            let db = Seminaive.store p.engine in
             {
               Stats.pid = p.pid;
               firings = es.Seminaive.firings + p.lost_firings;
@@ -488,7 +459,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
        List.iter (fun kt -> Queue.add kt p.outbox) saved_outbox
      | None ->
        let local_edb =
-         build_edb ~replicate:options.replicate_base rw edb p.pid
+         Router.build_edb ~replicate:options.replicate_base rw edb p.pid
        in
        p.engine <-
          Seminaive.create ~pushdown:options.pushdown rw.programs.(p.pid)
@@ -589,6 +560,18 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
               row))
       unacked
   in
+  let receive p in_name tuple =
+    p.tuples_received <- p.tuples_received + 1;
+    Obs.Metrics.incr mx "runtime.tuples_received";
+    if Seminaive.inject p.engine in_name tuple then
+      p.tuples_accepted <- p.tuples_accepted + 1
+  in
+  let drain_local p =
+    Queue.iter
+      (fun ((r : Router.route), tuple) -> receive p r.in_name tuple)
+      p.local;
+    Queue.clear p.local
+  in
   let drain_inbox p =
     if
       faulty
@@ -603,16 +586,18 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     end;
     Queue.iter
       (fun (src, pred, tuple) ->
-        p.tuples_received <- p.tuples_received + 1;
-        Obs.Metrics.incr mx "runtime.tuples_received";
+        (* The pump fills an inbox in source order, so the self-routed
+           tuples are injected where their channel would have put
+           them. *)
+        if src > p.pid then drain_local p;
         (* Fault-free credit returns on receipt; under faults the ack
            carries it back instead. *)
         if credited && not faulty then
           in_flight.(src).(p.pid) <- in_flight.(src).(p.pid) - 1;
-        if Seminaive.inject p.engine (Rewrite.in_pred pred) tuple then
-          p.tuples_accepted <- p.tuples_accepted + 1)
+        receive p (Router.find routes pred).in_name tuple)
       p.inbox;
-    Queue.clear p.inbox
+    Queue.clear p.inbox;
+    drain_local p
   in
   let pending_from src =
     let n = ref 0 in
@@ -674,12 +659,12 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
             else if options.resend_all then begin
               Queue.clear p.outbox;
               Queue.iter
-                (fun (pred, tuple) -> route_tuple ~dedup:false p pred tuple)
+                (fun (r, tuple) -> route_tuple ~dedup:false p r tuple)
                 p.all_out
             end
             else begin
               Queue.iter
-                (fun (pred, tuple) -> route_tuple ~dedup:true p pred tuple)
+                (fun (r, tuple) -> route_tuple ~dedup:true p r tuple)
                 p.outbox;
               Queue.clear p.outbox
             end))
@@ -772,7 +757,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
          | _ -> ());
         match options.limits.Overload.max_store_rows with
         | Some limit ->
-          let rows = Overload.db_rows (Seminaive.database p.engine) in
+          let rows = Overload.db_rows (Seminaive.store p.engine) in
           if rows > limit then
             raise
               (Overload.Overload
@@ -822,6 +807,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         Obs.Trace.Termination_test (fun () ->
           (not (Queue.is_empty p.outbox))
           || (not (Queue.is_empty p.inbox))
+          || (not (Queue.is_empty p.local))
           || (p.alive && Seminaive.has_pending p.engine))
     in
     let any_busy =
@@ -851,7 +837,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     let pooled = ref 0 in
     Array.iter
       (fun p ->
-        let db = Seminaive.database p.engine in
+        let db = Seminaive.store p.engine in
         List.iter
           (fun pred ->
             match Database.find db (Rewrite.out_pred pred) with
@@ -941,14 +927,14 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           (fun p ->
             let keep =
               Queue.fold
-                (fun acc (pred, t) ->
+                (fun acc (((r : Router.route), t) as rt) ->
                   if
                     List.exists
-                      (fun (rp, rt) ->
-                        String.equal rp pred && Tuple.equal rt t)
+                      (fun (rp, t') ->
+                        String.equal rp r.pred && Tuple.equal t' t)
                       removed
                   then acc
-                  else (pred, t) :: acc)
+                  else rt :: acc)
                 [] p.all_out
             in
             Queue.clear p.all_out;
@@ -994,7 +980,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       Array.iter
         (fun p ->
           match
-            Database.find (Seminaive.database p.engine)
+            Database.find (Seminaive.store p.engine)
               (Rewrite.out_pred pred)
           with
           | None -> ()

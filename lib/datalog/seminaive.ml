@@ -424,6 +424,7 @@ let restore ?(pushdown = true) ?(reorder = false) ?(intern = true) program
   engine
 
 let database engine = Database.copy engine.full
+let store engine = engine.full
 
 let stats engine =
   {

@@ -86,6 +86,12 @@ val database : t -> Database.t
 (** A fresh snapshot of the engine's database: base relations plus
     every derived tuple known so far, including still-queued ones. *)
 
+val store : t -> Database.t
+(** The engine's own database — the same contents as {!database}, but
+    not a copy. Read it, never write it: it is valid until the next
+    call that changes the engine. For counting rows or pooling one
+    relation without paying for a copy of the whole store. *)
+
 type snapshot
 (** A resumable checkpoint: the processed database and the pending
     delta, kept separate so that {!restore} resumes the semi-naive

@@ -3,6 +3,7 @@ module Fault = Pardatalog.Fault
 module Stats = Pardatalog.Stats
 module Overload = Pardatalog.Overload
 module Rewrite = Pardatalog.Rewrite
+module Router = Pardatalog.Router
 module Run_config = Pardatalog.Run_config
 module Strategy = Pardatalog.Strategy
 module Plan = Pardatalog.Plan
@@ -54,14 +55,7 @@ let socket_of = function
 (* ------------------------------------------------------------------ *)
 (* Shared pieces                                                      *)
 
-module Key = struct
-  type t = string * Tuple.t
-
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ktbl = Hashtbl.Make (Key)
+module Ktbl = Router.Ktbl
 
 (* Every worker rebuilds the rewrite from the program text and the
    scheme spec. Determinism note: symbol routing hashes depend on
@@ -88,24 +82,6 @@ let build_rewrite spec ~seed ~nprocs program =
   match r with
   | Ok rw -> rw
   | Error e -> invalid_arg ("Net_runtime: scheme rebuild failed: " ^ e)
-
-let build_edb (rw : Rewrite.t) edb pid =
-  let local = Database.create () in
-  List.iter
-    (fun pred ->
-      match Database.find edb pred with
-      | None -> ()
-      | Some rel ->
-        let target = Database.declare local pred (Relation.arity rel) in
-        Relation.iter
-          (fun t ->
-            if rw.resident pid pred t then ignore (Relation.add target t))
-          rel)
-    (Database.predicates edb);
-  local
-
-let is_out_pred pred = Rewrite.out_pred (Rewrite.original_pred pred) = pred
-let is_derived_pred pred = Rewrite.original_pred pred <> pred
 
 let rec waitpid_retry flags pid =
   try Unix.waitpid flags pid
@@ -165,7 +141,7 @@ let snap_of ~store p : Wire.psnap =
   let es = Seminaive.stats p.engine in
   let rows, bytes =
     if store then
-      let db = Seminaive.database p.engine in
+      let db = Seminaive.store p.engine in
       (Overload.db_rows db, Overload.db_bytes db)
     else (0, 0)
   in
@@ -294,15 +270,8 @@ let worker_body ~addr ~worker ~inc =
   let edb = Database.create () in
   List.iter (fun wr -> ignore (Wire.add_wrel edb wr)) cf.cf_edb;
   let rw = build_rewrite cf.cf_spec ~seed:cf.cf_seed ~nprocs program in
-  let send_specs_for =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        Hashtbl.replace tbl s.ss_pred
-          (s :: Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)))
-      rw.sends;
-    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
-  in
+  let routes = Router.make rw in
+  let is_out name = Option.is_some (Router.of_out routes name) in
   let own_pids =
     List.filter (fun pid -> pid mod cf.cf_procs = worker)
       (List.init nprocs Fun.id)
@@ -310,7 +279,7 @@ let worker_body ~addr ~worker ~inc =
   let procs =
     List.map
       (fun pid ->
-        let local_edb = build_edb rw edb pid in
+        let local_edb = Router.build_edb rw edb pid in
         {
           pid;
           engine =
@@ -448,21 +417,18 @@ let worker_body ~addr ~worker ~inc =
   in
   let route ~replay p produced =
     let batches = Array.make nprocs [] in
+    (* The channel history stays on even fault-free: a worker may be
+       SIGKILLed at any moment, and its restart replays from it. *)
     List.iter
       (fun (out_name, tuple) ->
-        let pred = Rewrite.original_pred out_name in
-        if List.mem pred rw.derived then
+        match Router.of_out routes out_name with
+        | None -> ()
+        | Some r ->
           List.iter
-            (fun (s : Rewrite.send_spec) ->
-              List.iter
-                (fun dst ->
-                  let seen = p.channel_seen.(dst) in
-                  if not (Ktbl.mem seen (pred, tuple)) then begin
-                    Ktbl.add seen (pred, tuple) ();
-                    batches.(dst) <- (pred, tuple) :: batches.(dst)
-                  end)
-                (s.ss_route p.pid tuple))
-            (send_specs_for pred))
+            (fun dst ->
+              if Router.mark_new p.channel_seen.(dst) (r.pred, tuple) then
+                batches.(dst) <- (r.pred, tuple) :: batches.(dst))
+            (Router.destinations r p.pid tuple))
       produced;
     Array.iteri
       (fun dst batch ->
@@ -519,14 +485,7 @@ let worker_body ~addr ~worker ~inc =
       let delta =
         let acc = p.ckpt_acc in
         p.ckpt_acc <- [];
-        List.filter
-          (fun (pred, t) ->
-            if Ktbl.mem p.dumped (pred, t) then false
-            else begin
-              Ktbl.replace p.dumped (pred, t) ();
-              true
-            end)
-          acc
+        List.filter (Router.mark_new p.dumped) acc
       in
       (* Receipts are deltas for the same reason as the tuples: the
          full table is O(frames) and would be re-marshalled on every
@@ -548,7 +507,7 @@ let worker_body ~addr ~worker ~inc =
     if not !breached then begin
       (match limits.Overload.max_store_rows with
        | Some lim ->
-         let rows = Overload.db_rows (Seminaive.database p.engine) in
+         let rows = Overload.db_rows (Seminaive.store p.engine) in
          if rows > lim then begin
            breached := true;
            write
@@ -579,14 +538,14 @@ let worker_body ~addr ~worker ~inc =
     if ckpt_on then
       List.iter
         (fun ((name, _) as nt) ->
-          if is_derived_pred name then p.ckpt_acc <- nt :: p.ckpt_acc)
+          if is_out name then p.ckpt_acc <- nt :: p.ckpt_acc)
         produced
   in
   let accept_batch p batch =
     List.iter
       (fun (pred, tuple) ->
         p.received <- p.received + 1;
-        let ip = Rewrite.in_pred pred in
+        let ip = (Router.find routes pred).in_name in
         if Seminaive.inject p.engine ip tuple then begin
           p.accepted <- p.accepted + 1;
           if ckpt_on then p.ckpt_acc <- (ip, tuple) :: p.ckpt_acc
@@ -636,7 +595,7 @@ let worker_body ~addr ~worker ~inc =
     (fun (r : Wire.restore) ->
       let p = proc_of r.rs_pid in
       let outs =
-        List.filter (fun (pred, _) -> is_out_pred pred)
+        List.filter (fun (pred, _) -> is_out pred)
           (Wire.to_batch r.rs_tuples)
       in
       route ~replay:true p outs)
@@ -650,7 +609,7 @@ let worker_body ~addr ~worker ~inc =
       procs
   in
   let answers_of p =
-    let db = Seminaive.database p.engine in
+    let db = Seminaive.store p.engine in
     List.filter_map
       (fun pred ->
         match Database.find db (Rewrite.out_pred pred) with

@@ -218,6 +218,38 @@ let watchdog_cases =
                stats.Stats.per_proc)
         | exception Overload.Overload _ ->
           Alcotest.fail "expected a Store_budget reason");
+    case "a store budget equal to the final store changes nothing (sim)"
+      (fun () ->
+        let edb = edb_of_edges (chain_edges 10) in
+        let free = Sim_runtime.run (example3_rw ()) ~edb in
+        let rows =
+          Array.fold_left
+            (fun acc p -> max acc p.Stats.store_rows)
+            0 free.stats.Stats.per_proc
+        in
+        let config = Run_config.(default |> with_max_store_rows (Some rows)) in
+        let capped = Sim_runtime.run ~config (example3_rw ()) ~edb in
+        Alcotest.check database_t "answers" free.answers capped.answers;
+        let untimed (s : Stats.t) = { s with Stats.phase_ns = [] } in
+        Alcotest.(check bool) "stats" true
+          (untimed free.stats = untimed capped.stats));
+    case "a store budget one row short aborts as it always has (sim)"
+      (fun () ->
+        (* Processor 1 ends with 78 rows; the breach is caught when the
+           store first exceeds 77, at the watchdog of round 10. *)
+        let config = Run_config.(default |> with_max_store_rows (Some 77)) in
+        match
+          Sim_runtime.run ~config (example3_rw ())
+            ~edb:(edb_of_edges (chain_edges 10))
+        with
+        | _ -> Alcotest.fail "expected Overload"
+        | exception Overload.Overload
+            { reason = Store_budget { pid; rows; limit }; stats } ->
+          Alcotest.(check (list int)) "pid, rows, limit" [ 1; 78; 77 ]
+            [ pid; rows; limit ];
+          Alcotest.(check int) "round of the breach" 10 stats.Stats.rounds
+        | exception Overload.Overload _ ->
+          Alcotest.fail "expected a Store_budget reason");
     case "outbox budget fires under a stalled channel (sim)" (fun () ->
         let config =
           Run_config.(
