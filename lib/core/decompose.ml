@@ -193,22 +193,10 @@ let run program ~nprocs edb =
         engine)
       local_edbs
   in
-  let answers = Database.copy edb in
-  let pooled = ref 0 in
-  let derived = Program.derived_predicates program in
-  Array.iter
-    (fun engine ->
-      let db = Seminaive.store engine in
-      List.iter
-        (fun pred ->
-          match Database.find db pred with
-          | None -> ()
-          | Some rel ->
-            pooled := !pooled + Relation.cardinal rel;
-            let target = Database.declare answers pred (Relation.arity rel) in
-            ignore (Relation.add_all target rel))
-        derived)
-    engines;
+  let answers, pooled =
+    Router.pool ~edb (Program.derived_predicates program) ~stored:Fun.id
+      (Array.to_list (Array.map Seminaive.store engines))
+  in
   let rounds =
     Array.fold_left
       (fun acc e -> max acc (Seminaive.stats e).Seminaive.iterations)
@@ -241,7 +229,7 @@ let run program ~nprocs edb =
             })
           engines;
       channel_tuples = Array.make_matrix nprocs nprocs 0;
-      pooled_tuples = !pooled;
+      pooled_tuples = pooled;
       trace = [];
       faults = Stats.no_faults;
       transport = Stats.no_transport;

@@ -99,7 +99,7 @@ let retry_delay attempt = 0.001 *. float_of_int (1 lsl min attempt 6)
    created and bootstrapped here; a [Some] slot is adopted as-is — its
    pending injections are drained by the ordinary step loop. *)
 let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
-    (rw : Rewrite.t) ~routes mailboxes ~domain_of ~own_pids ~engines
+    ~pushdown (rw : Rewrite.t) ~routes mailboxes ~domain_of ~own_pids ~engines
     ~channel_seen local_edbs my_domain =
   let n = rw.nprocs in
   let faulty = not (Fault.is_none plan) in
@@ -109,6 +109,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
      mailbox — and with it the termination detector, for which it is
      internal computation — and is injected at the next dispatch. *)
   let local_delivery = (not faulty) && not credited in
+  let in_place = Router.in_place routes in
   let tr = obs.Obs.trace in
   let mx = obs.Obs.metrics in
   (* Per-worker wall-clock accumulator (no cross-domain sharing, so no
@@ -165,7 +166,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
             (match engines.(pid) with
              | Some e -> e
              | None ->
-               Seminaive.create rw.programs.(pid) ~edb:local_edbs.(pid));
+               Router.engine routes ~pushdown pid ~edb:local_edbs.(pid));
           safra = Safra.create ();
           ds = Dscholten.create ~pid ~nprocs:n;
           held_token = None;
@@ -356,6 +357,16 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
       (fun (out_name, tuple) ->
         match Router.of_out routes out_name with
         | None -> ()
+        | Some r when in_place ->
+          (* In place the tuple is already the engine's delta: count
+             its trip on the loop channel, nothing more. *)
+          if Router.travels r p.pid tuple then begin
+            p.sent_row.(p.pid) <- p.sent_row.(p.pid) + 1;
+            Obs.Metrics.incr mx "runtime.tuples_sent";
+            p.received <- p.received + 1;
+            Obs.Metrics.incr mx "runtime.tuples_received";
+            p.accepted <- p.accepted + 1
+          end
         | Some r ->
           List.iter
             (fun dst ->
@@ -427,7 +438,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
       p.lost_new <- p.lost_new + es.Seminaive.new_tuples;
       p.lost_dup <- p.lost_dup + es.Seminaive.duplicate_firings;
       Obs.Trace.instant tr ~pid:p.pid ~round:p.local_rounds "crash";
-      p.engine <- Seminaive.create rw.programs.(p.pid) ~edb:local_edbs.(p.pid);
+      p.engine <- Router.engine routes ~pushdown p.pid ~edb:local_edbs.(p.pid);
       fc.n_recoveries <- fc.n_recoveries + 1;
       Obs.Trace.instant tr ~pid:p.pid ~round:p.local_rounds "recover";
       route p (observe_engine p (fun () -> Seminaive.bootstrap p.engine));
@@ -762,7 +773,15 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     combined
   in
   let domain_of pid = pid mod ndomains in
-  let routes = Router.make rw in
+  let pushdown = config.Run_config.pushdown in
+  (* In place (DESIGN.md §18) under the same condition as local
+     delivery: nothing to replay, no credit to gate. *)
+  let routes =
+    Router.make
+      ~in_place:
+        (Fault.is_none fault && capacity = None && rw.communication_free)
+      rw
+  in
   let local_edbs = Array.init n (fun pid -> Router.build_edb rw edb pid) in
   let own_pids d =
     List.filter (fun pid -> domain_of pid = d) (List.init n Fun.id)
@@ -801,8 +820,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     | Some l -> l
     | None ->
       let l =
-        Stratified.Live.create ~track:config.Run_config.track_changes
-          rw.original ~edb
+        Stratified.Live.create ~pushdown
+          ~track:config.Run_config.track_changes rw.original ~edb
       in
       live := Some l;
       l
@@ -875,27 +894,11 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         };
     }
   in
+  let stores () =
+    Array.to_list engines |> List.filter_map (Option.map Seminaive.store)
+  in
   let assemble () =
-    let answers = Database.copy edb in
-    let pooled = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some e ->
-          let db = Seminaive.store e in
-          List.iter
-            (fun pred ->
-              match Database.find db (Rewrite.out_pred pred) with
-              | None -> ()
-              | Some rel ->
-                pooled := !pooled + Relation.cardinal rel;
-                let target =
-                  Database.declare answers pred (Relation.arity rel)
-                in
-                ignore (Relation.add_all target rel))
-            rw.derived)
-      engines;
-    (answers, !pooled)
+    Router.pool ~edb rw.derived ~stored:Rewrite.out_pred (stores ())
   in
   let epoch () =
     let mailboxes = Array.init ndomains (fun _ -> Mailbox.create ()) in
@@ -903,9 +906,9 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       Array.init ndomains (fun d ->
           Domain.spawn (fun () ->
               try
-                worker detector fault ~capacity ~limits ~dial ~obs ~t0 rw
-                  ~routes mailboxes ~domain_of ~own_pids:(own_pids d) ~engines
-                  ~channel_seen local_edbs d
+                worker detector fault ~capacity ~limits ~dial ~obs ~t0
+                  ~pushdown rw ~routes mailboxes ~domain_of
+                  ~own_pids:(own_pids d) ~engines ~channel_seen local_edbs d
               with e ->
                 (* Poison-pill shutdown: wake every peer blocked in its
                    mailbox before propagating, so one crashing domain
@@ -1078,33 +1081,11 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     end
   in
   let query pred =
-    if is_derived pred then begin
-      let acc = ref None in
-      Array.iter
-        (function
-          | None -> ()
-          | Some e ->
-            (match
-               Database.find (Seminaive.store e) (Rewrite.out_pred pred)
-             with
-             | None -> ()
-             | Some rel ->
-               let target =
-                 match !acc with
-                 | Some r -> r
-                 | None ->
-                   let r =
-                     Relation.create ~arity:(Relation.arity rel) ()
-                   in
-                   acc := Some r;
-                   r
-               in
-               ignore (Relation.add_all target rel)))
-        engines;
-      match !acc with
-      | Some r -> Relation.sorted_elements r
-      | None -> []
-    end
+    if is_derived pred then
+      stores ()
+      |> List.filter_map (fun db -> Database.find db (Rewrite.out_pred pred))
+      |> Router.union
+      |> Option.fold ~none:[] ~some:Relation.sorted_elements
     else
       match Database.find edb pred with
       | Some rel -> Relation.sorted_elements rel

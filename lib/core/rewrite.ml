@@ -24,6 +24,7 @@ type t = {
   sends : send_spec list;
   resident : Pid.t -> string -> Tuple.t -> bool;
   fragmented : (string * bool) list;
+  communication_free : bool;
 }
 
 let out_pred p = p ^ "@out"
@@ -268,6 +269,7 @@ let make ?space program ~policies =
     sends;
     resident;
     fragmented;
+    communication_free = nprocs = 1;
   }
 
 let pp ppf t =

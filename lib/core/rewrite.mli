@@ -48,6 +48,15 @@ type t = {
   fragmented : (string * bool) list;
       (** For each base predicate, whether it is fragmented (true) or
           shared/replicated (false). *)
+  communication_free : bool;
+      (** Every send spec routes each tuple to its producer or to
+          nobody: the processor programs have no real sending or
+          receiving rules. {!make} sets it when [nprocs = 1];
+          {!Strategy.no_communication} sets it for the discriminating
+          sequences of Theorem 3. The runtimes then evaluate each
+          processor program in place ({!Router.make}); a wrong claim
+          raises [Invalid_argument] at the first cross-processor
+          destination. *)
 }
 
 val out_pred : string -> string

@@ -41,10 +41,41 @@ type route = {
 type t = {
   by_out : (string, route) Hashtbl.t;
   by_pred : (string, route) Hashtbl.t;
+  in_place : bool;
+  programs : Program.t array;
 }
 
-let make (rw : Rewrite.t) =
-  let t = { by_out = Hashtbl.create 8; by_pred = Hashtbl.create 8 } in
+(* The in-place program reads what it writes: every derived body atom
+   names [p@out] instead of [p@in], so a fresh tuple is already pending
+   in the relation the next step reads as its delta. *)
+let read_out (rw : Rewrite.t) (prog : Program.t) =
+  let outs =
+    List.map (fun p -> (Rewrite.in_pred p, Rewrite.out_pred p)) rw.derived
+  in
+  let rename (a : Atom.t) =
+    match List.assoc_opt a.pred outs with
+    | Some out -> Atom.rename_pred out a
+    | None -> a
+  in
+  Program.make ~facts:prog.facts
+    (List.map
+       (fun (r : Rule.t) -> { r with body = List.map rename r.body })
+       prog.rules)
+
+let make ?(in_place = false) (rw : Rewrite.t) =
+  if in_place && not rw.communication_free then
+    invalid_arg
+      "Router.make: in-place evaluation needs a communication-free rewrite";
+  let t =
+    {
+      by_out = Hashtbl.create 8;
+      by_pred = Hashtbl.create 8;
+      in_place;
+      programs =
+        (if in_place then Array.map (read_out rw) rw.programs
+         else rw.programs);
+    }
+  in
   List.iter
     (fun pred ->
       let r =
@@ -61,6 +92,12 @@ let make (rw : Rewrite.t) =
       Hashtbl.replace t.by_pred pred r)
     rw.derived;
   t
+
+let in_place t = t.in_place
+let program t pid = t.programs.(pid)
+
+let engine t ~pushdown pid ~edb =
+  Seminaive.create ~pushdown t.programs.(pid) ~edb
 
 let of_out t name = Hashtbl.find_opt t.by_out name
 let find t pred = Hashtbl.find t.by_pred pred
@@ -80,3 +117,43 @@ let destinations r sender tuple =
           (s.ss_route sender tuple))
       [] specs
     |> List.rev
+
+let travels r sender tuple =
+  match destinations r sender tuple with
+  | [] -> false
+  | [ dst ] when dst = sender -> true
+  | dsts ->
+    invalid_arg
+      (Printf.sprintf
+         "Router.travels: %s tuple %s of processor %d routed to %s in a \
+          rewrite marked communication-free"
+         r.pred (Tuple.to_string tuple) sender
+         (String.concat "," (List.map string_of_int dsts)))
+
+let union rels =
+  match List.filter (fun r -> not (Relation.is_empty r)) rels with
+  | [] -> None
+  | first :: rest ->
+    let u = Relation.copy first in
+    List.iter (fun r -> ignore (Relation.add_all u r)) rest;
+    Some u
+
+let pool ~edb preds ~stored stores =
+  let answers = Database.copy edb in
+  let pooled = ref 0 in
+  List.iter
+    (fun pred ->
+      let rels =
+        List.filter_map (fun db -> Database.find db (stored pred)) stores
+      in
+      List.iter (fun r -> pooled := !pooled + Relation.cardinal r) rels;
+      match rels, Database.find answers pred with
+      | [], _ -> ()
+      | _, Some target ->
+        List.iter (fun r -> ignore (Relation.add_all target r)) rels
+      | r :: _, None ->
+        (match union rels with
+         | Some u -> Database.add_relation answers pred u
+         | None -> ignore (Database.declare answers pred (Relation.arity r))))
+    preds;
+  (answers, !pooled)

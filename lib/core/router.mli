@@ -42,7 +42,23 @@ type t
 (** A per-session route table. Immutable once built, so the domain
     runtime's workers may share one. *)
 
-val make : Rewrite.t -> t
+val make : ?in_place:bool -> Rewrite.t -> t
+(** [~in_place:true] (default [false]) builds the table of an in-place
+    run: each processor's engine program reads every derived body atom
+    from [p@out] instead of [p@in], so a tuple its own step derives is
+    the next step's delta — no routing copy, no [@in] relation, no
+    {!Seminaive.inject}. Sound only when no tuple leaves its producer,
+    so the rewrite must be {!Rewrite.t.communication_free}.
+    @raise Invalid_argument otherwise. *)
+
+val in_place : t -> bool
+
+val program : t -> Pid.t -> Program.t
+(** The program a processor's engine runs: {!Rewrite.t.programs}, or
+    its in-place form. *)
+
+val engine : t -> pushdown:bool -> Pid.t -> edb:Database.t -> Seminaive.t
+(** A fresh engine running {!program} over a base fragment. *)
 
 val of_out : t -> string -> route option
 (** The route of a produced [@out] name; [None] for any other name. *)
@@ -57,3 +73,23 @@ val destinations : route -> Pid.t -> Tuple.t -> Pid.t list
     lets a fault-free run drop the per-channel history: each [@out]
     tuple leaves its engine once, so one tuple never travels one
     channel twice. *)
+
+val travels : route -> Pid.t -> Tuple.t -> bool
+(** In-place routing: whether [tuple], derived at [sender], would
+    travel its producer's own channel — the pattern check of
+    {!destinations}, which then yields at most the producer.
+    @raise Invalid_argument if a spec routes it to another processor:
+    the rewrite's communication-free claim is wrong. *)
+
+val union : Relation.t list -> Relation.t option
+(** The union of the relations as a fresh one: a structural clone
+    ({!Relation.copy}) of the first non-empty relation, then the rest
+    added tuple by tuple. [None] when every relation is empty. *)
+
+val pool :
+  edb:Database.t -> string list -> stored:(string -> string) ->
+  Database.t list -> Database.t * int
+(** [pool ~edb preds ~stored stores]: a copy of [edb] in which each
+    predicate [p] of [preds] is bound to the {!union} of the [stored p]
+    relations of [stores] (added to the EDB's own [p], if it binds
+    one), and the number of tuples pooled, counted once per store. *)

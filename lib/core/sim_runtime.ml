@@ -22,6 +22,10 @@ type proc_state = {
   inbox : (Pid.t * string * Tuple.t) Queue.t;
   (* self-routed on the local-delivery path, not yet injected *)
   local : (Router.route * Tuple.t) Queue.t;
+  (* In place: the steps' fresh tuples, already the engine's delta,
+     held until the Sending phase counts them. *)
+  mutable held : (string * Tuple.t) list list;
+  mutable held_rows : int;
   all_out : (Router.route * Tuple.t) Queue.t;  (* cumulative, for resend_all *)
   mutable outbox_peak_rows : int;
   mutable outbox_peak_bytes : int;
@@ -116,7 +120,15 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      replay and no credit to gate, a self-routed tuple skips the channel
      queue and the inbox and goes straight to the engine's Δ. *)
   let local_delivery = (not faulty) && not credited in
-  let routes = Router.make rw in
+  (* In place (DESIGN.md §18): when no tuple can leave its producer,
+     the engine reads its own [@out] and there is nothing to deliver. *)
+  let routes =
+    Router.make
+      ~in_place:
+        (local_delivery && (not options.resend_all) && rw.communication_free)
+      rw
+  in
+  let in_place = Router.in_place routes in
   if faulty && options.resend_all then
     invalid_arg
       "Sim_runtime.run: resend_all cannot be combined with fault injection \
@@ -156,11 +168,13 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         {
           pid;
           engine =
-            Seminaive.create ~pushdown:options.pushdown rw.programs.(pid)
+            Router.engine routes ~pushdown:options.pushdown pid
               ~edb:local_edb;
           outbox = Queue.create ();
           inbox = Queue.create ();
           local = Queue.create ();
+          held = [];
+          held_rows = 0;
           all_out = Queue.create ();
           outbox_peak_rows = 0;
           outbox_peak_bytes = 0;
@@ -338,14 +352,19 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     done
   in
   let collect_new src produced =
-    List.iter
-      (fun (out_name, tuple) ->
-        match Router.of_out routes out_name with
-        | Some r ->
-          Queue.add (r, tuple) src.outbox;
-          if options.resend_all then Queue.add (r, tuple) src.all_out
-        | None -> ())
-      produced
+    if in_place then begin
+      src.held <- produced :: src.held;
+      src.held_rows <- src.held_rows + List.length produced
+    end
+    else
+      List.iter
+        (fun (out_name, tuple) ->
+          match Router.of_out routes out_name with
+          | Some r ->
+            Queue.add (r, tuple) src.outbox;
+            if options.resend_all then Queue.add (r, tuple) src.all_out
+          | None -> ())
+        produced
   in
   (* Initialization: bootstrap every processor's program; its
      production counts form trace row 0. *)
@@ -451,8 +470,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      | Some (snap, saved_outbox) ->
        fc.n_restores <- fc.n_restores + 1;
        p.engine <-
-         Seminaive.restore ~pushdown:options.pushdown rw.programs.(p.pid)
-           snap;
+         Seminaive.restore ~pushdown:options.pushdown
+           (Router.program routes p.pid) snap;
        (* Products awaiting routing when the snapshot was taken; the
           per-channel dedup drops any that did get sent before the
           crash. *)
@@ -462,8 +481,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
          Router.build_edb ~replicate:options.replicate_base rw edb p.pid
        in
        p.engine <-
-         Seminaive.create ~pushdown:options.pushdown rw.programs.(p.pid)
-           ~edb:local_edb;
+         Router.engine routes ~pushdown:options.pushdown p.pid ~edb:local_edb;
        let produced =
          observe_engine p (fun () -> Seminaive.bootstrap p.engine)
        in
@@ -566,6 +584,24 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     if Seminaive.inject p.engine in_name tuple then
       p.tuples_accepted <- p.tuples_accepted + 1
   in
+  (* In place, each held tuple that would travel its producer's loop
+     channel is counted as sent, received and accepted there — it is
+     already in the engine, and new. *)
+  let count_held p =
+    List.iter
+      (List.iter (fun (out_name, tuple) ->
+           match Router.of_out routes out_name with
+           | Some r when Router.travels r p.pid tuple ->
+             check_channel p.pid p.pid;
+             count_sent p.pid p.pid;
+             p.tuples_received <- p.tuples_received + 1;
+             Obs.Metrics.incr mx "runtime.tuples_received";
+             p.tuples_accepted <- p.tuples_accepted + 1
+           | _ -> ()))
+      p.held;
+    p.held <- [];
+    p.held_rows <- 0
+  in
   let drain_local p =
     Queue.iter
       (fun ((r : Router.route), tuple) -> receive p r.in_name tuple)
@@ -656,6 +692,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         span ~pid:p.pid ~round:round_now Obs.Trace.Sending
           (fun () ->
             if not p.alive then ()
+            else if in_place then count_held p
             else if options.resend_all then begin
               Queue.clear p.outbox;
               Queue.iter
@@ -731,13 +768,18 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
        when the round's production has landed. *)
     Array.iter
       (fun p ->
-        let backlog = Queue.length p.outbox + pending_from p.pid in
+        let backlog =
+          Queue.length p.outbox + p.held_rows + pending_from p.pid
+        in
         if backlog > p.outbox_peak_rows then begin
           p.outbox_peak_rows <- backlog;
           let bytes = ref 0 in
           Queue.iter
             (fun (_, t) -> bytes := !bytes + (Tuple.arity t * 8))
             p.outbox;
+          List.iter
+            (List.iter (fun (_, t) -> bytes := !bytes + (Tuple.arity t * 8)))
+            p.held;
           for dst = 0 to nprocs - 1 do
             Queue.iter
               (fun (_, t, _) -> bytes := !bytes + (Tuple.arity t * 8))
@@ -806,6 +848,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       span ~pid:p.pid ~round:round_now
         Obs.Trace.Termination_test (fun () ->
           (not (Queue.is_empty p.outbox))
+          || p.held <> []
           || (not (Queue.is_empty p.inbox))
           || (not (Queue.is_empty p.local))
           || (p.alive && Seminaive.has_pending p.engine))
@@ -833,24 +876,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   (* Pooling: union the @out relations under the original names over
      the current combined EDB — used by [close] and [model] alike. *)
   let assemble () =
-    let answers = Database.copy edb in
-    let pooled = ref 0 in
-    Array.iter
-      (fun p ->
-        let db = Seminaive.store p.engine in
-        List.iter
-          (fun pred ->
-            match Database.find db (Rewrite.out_pred pred) with
-            | None -> ()
-            | Some rel ->
-              pooled := !pooled + Relation.cardinal rel;
-              let target =
-                Database.declare answers pred (Relation.arity rel)
-              in
-              ignore (Relation.add_all target rel))
-          rw.derived)
-      procs;
-    (answers, !pooled)
+    Router.pool ~edb rw.derived ~stored:Rewrite.out_pred
+      (Array.to_list (Array.map (fun p -> Seminaive.store p.engine) procs))
   in
   (* The maintenance oracle is created on first [apply], so a plain
      [run] (open + close, no batches) never pays for it and takes the
@@ -975,30 +1002,12 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     }
   in
   let query pred =
-    if is_derived pred then begin
-      let acc = ref None in
-      Array.iter
-        (fun p ->
-          match
-            Database.find (Seminaive.store p.engine)
-              (Rewrite.out_pred pred)
-          with
-          | None -> ()
-          | Some rel ->
-            let target =
-              match !acc with
-              | Some r -> r
-              | None ->
-                let r = Relation.create ~arity:(Relation.arity rel) () in
-                acc := Some r;
-                r
-            in
-            ignore (Relation.add_all target rel))
-        procs;
-      match !acc with
-      | Some r -> Relation.sorted_elements r
-      | None -> []
-    end
+    if is_derived pred then
+      Array.to_list procs
+      |> List.filter_map (fun p ->
+             Database.find (Seminaive.store p.engine) (Rewrite.out_pred pred))
+      |> Router.union
+      |> Option.fold ~none:[] ~some:Relation.sorted_elements
     else
       match Database.find edb pred with
       | Some rel -> Relation.sorted_elements rel

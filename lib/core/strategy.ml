@@ -46,8 +46,12 @@ let no_communication ?(seed = 0) ~nprocs program =
       else Rewrite.Uniform (Discriminant.make ~vars:fc.ve ~fn:h)
     in
     attempt (fun () ->
-        Rewrite.make program
-          ~policies:(List.map policy_of (Program.rules program)))
+        {
+          (Rewrite.make program
+             ~policies:(List.map policy_of (Program.rules program)))
+          with
+          Rewrite.communication_free = true;
+        })
 
 (* Recognize t(X,Y) :- b(X,Y).  t(X,Y) :- b(X,Z), t(Z,Y).  *)
 let tc_shape program =

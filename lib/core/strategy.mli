@@ -29,7 +29,9 @@ val no_communication :
   ?seed:int -> nprocs:int -> Program.t -> (Rewrite.t, string) result
 (** Theorem 3: discriminate on a dataflow-graph cycle with a symmetric
     hash; the resulting execution sends no tuple between distinct
-    processors. Errors when the sirup's dataflow graph is acyclic. *)
+    processors, and the rewrite is marked
+    {!Rewrite.t.communication_free}. Errors when the sirup's dataflow
+    graph is acyclic. *)
 
 val example1 :
   ?seed:int -> nprocs:int -> Program.t -> (Rewrite.t, string) result

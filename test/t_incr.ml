@@ -442,6 +442,48 @@ let prop_domain_session =
           Pardatalog.Domain_runtime.open_session (anc_rw ~seed ~nprocs:3) ~edb)
         seed (min steps 5))
 
+(* Theorem 3's communication-free rewrite runs in place on a fault-free
+   session: the engines read their own [@out], retractions naming
+   [@in] find nothing, and the maintenance patch must still land. *)
+let nocomm_rw ~seed ~nprocs =
+  match
+    Pardatalog.Strategy.no_communication ~seed ~nprocs Workload.Progs.ancestor
+  with
+  | Ok rw ->
+    assert rw.Pardatalog.Rewrite.communication_free;
+    rw
+  | Error e -> failwith e
+
+let in_place_session_props =
+  List.concat_map
+    (fun nprocs ->
+      [
+        QCheck.Test.make ~count:20
+          ~name:
+            (Printf.sprintf
+               "in-place sim session (nocomm, N=%d) = closure oracle" nprocs)
+          session_arb
+          (fun (seed, steps) ->
+            session_stream
+              ~open_session:(fun edb ->
+                Pardatalog.Sim_runtime.open_session
+                  (nocomm_rw ~seed ~nprocs) ~edb)
+              seed steps);
+        QCheck.Test.make ~count:8
+          ~name:
+            (Printf.sprintf
+               "in-place domain session (nocomm, N=%d) = closure oracle"
+               nprocs)
+          session_arb
+          (fun (seed, steps) ->
+            session_stream
+              ~open_session:(fun edb ->
+                Pardatalog.Domain_runtime.open_session
+                  (nocomm_rw ~seed ~nprocs) ~edb)
+              seed (min steps 5));
+      ])
+    [ 1; 2 ]
+
 (* --- net runtime: real forked workers, registered before domains --- *)
 
 let anc_text = "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), par(Z,Y).\n"
@@ -482,5 +524,6 @@ let suites =
         [
           prop_live_equals_scratch; prop_sim_session; prop_sim_session_faults;
           prop_domain_session;
-        ] );
+        ]
+      @ List.map QCheck_alcotest.to_alcotest in_place_session_props );
   ]
