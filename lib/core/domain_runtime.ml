@@ -21,13 +21,6 @@ type msg =
 
 module Ktbl = Router.Ktbl
 
-(* One unacknowledged batch awaiting its transport ack. *)
-type pending = {
-  pd_batch : (string * Tuple.t) list;
-  mutable pd_attempt : int;
-  mutable pd_retry_at : float;
-}
-
 (* Per-processor state, owned by exactly one domain. *)
 type proc_state = {
   pid : int;
@@ -36,28 +29,15 @@ type proc_state = {
   ds : Dscholten.t;
   mutable held_token : Safra.token option;
   mutable probe_outstanding : bool;  (* pid 0 only *)
-  sent_row : int array;
   mutable received : int;
   mutable accepted : int;
   channel_seen : unit Ktbl.t array;  (* per destination *)
   (* Self-routed on the local-delivery path, not yet injected. *)
   local : (Router.route * Tuple.t) Queue.t;
-  base_resident : int;
-  (* Reliable-delivery state: stable across crashes, like the
-     detector counters — only the engine is volatile. *)
-  next_seq : int array;  (* per destination *)
-  unacked : (int, pending) Hashtbl.t array;  (* per destination *)
-  seen_seq : (int, unit) Hashtbl.t array;  (* per source *)
-  (* Credit-based backpressure (active only under a capacity):
-     [pending] holds tuples deferred for lack of channel credit (the
-     bool marks recovery replays), [credit_used] counts in-flight
-     (un-Tacked) tuples per destination, [inflight_size] remembers each
-     outstanding batch's size so its Tack returns the right credit. *)
-  pending : (string * Tuple.t * bool) Queue.t array;  (* per destination *)
-  credit_used : int array;  (* per destination *)
-  inflight_size : (int, int) Hashtbl.t array;  (* per destination *)
-  mutable outbox_peak_rows : int;
-  mutable outbox_peak_bytes : int;
+  (* Channel state is stable across crashes, like the detector
+     counters — only the engine is volatile. *)
+  chan : Channel.t;
+  seen : (int * int) Channel.Dedup.t;  (* (source, seq) *)
   mutable local_rounds : int;  (* semi-naive iterations executed *)
   mutable crashes_fired : int list;
   mutable lost_iterations : int;
@@ -66,30 +46,17 @@ type proc_state = {
   mutable lost_dup : int;
 }
 
-type worker_result = {
-  wr_pid : int;
-  wr_stats : Seminaive.stats;
-  wr_sent_row : int array;
-  wr_received : int;
-  wr_accepted : int;
-  wr_base_resident : int;
-  wr_outbox_peak_rows : int;
-  wr_outbox_peak_bytes : int;
-}
-
-(* Per-worker overload-control outcome, merged by [run]. *)
+(* Per-worker outcome beyond its processors, merged by [run]. *)
 type worker_extra = {
   we_overload : Overload.reason option;
-  we_credit_stalls : int;
-  we_peak_in_flight : int;
   we_phase_ns : (string * int) list;
   we_bulk_pushes : int;
   we_bulk_messages : int;
 }
 
-(* Wall-clock retransmission backoff, bounded like the simulated
-   runtime's round-based one. *)
-let retry_delay attempt = 0.001 *. float_of_int (1 lsl min attempt 6)
+(* Wall-clock retransmission backoff (1, 2, ..., 64 ms), bounded like
+   the simulated runtime's round-based one. *)
+let retry = Backoff.make ~base_ms:1 ~cap_ms:64 ()
 
 (* [engines] and [channel_seen] are the session-resident state, indexed
    by pid and owned by exactly one domain at a time: a worker reads and
@@ -120,8 +87,6 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
         Obs.Trace.span tr ~pid ~round phase f)
   in
   let fc = Fault.counters () in
-  let credit_stalls = ref 0 in
-  let peak_in_flight = ref 0 in
   let overload : Overload.reason option ref = ref None in
   let my_mailbox = mailboxes.(my_domain) in
   let send_to_pid pid msg = Mailbox.push mailboxes.(domain_of pid) msg in
@@ -157,9 +122,40 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
   let fresh_pids =
     List.filter (fun pid -> engines.(pid) = None) own_pids
   in
+  (* One transmission attempt of a batch. The detectors count at
+     sequence-number granularity: one send per new batch (attempt 0)
+     here, one receive per first-seen sequence number at the receiver —
+     retransmissions and duplicates are invisible to them, which keeps
+     the token balance (Safra) and the deficits (Dijkstra-Scholten)
+     sound over lossy channels. *)
+  let transmit ~src ~safra ~ds ~dst ~seq ~attempt ~replay:_ batch =
+    if attempt = 0 then
+      (match detector with
+       | Safra -> Safra.record_send safra
+       | Dijkstra_scholten -> Dscholten.record_send ds);
+    if not faulty then buffer_data dst (Data { src; dst; seq; batch })
+    else begin
+      let fate = Fault.fate plan ~src ~dst ~seq ~attempt in
+      if fate.f_drop then fc.n_drops <- fc.n_drops + 1
+      else begin
+        (* Delay and reorder are no-ops here: mailbox scheduling is
+           already asynchronous, so added latency changes nothing
+           observable. They are only tallied. *)
+        if fate.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
+        if fate.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
+        buffer_data dst (Data { src; dst; seq; batch });
+        if fate.f_dup then begin
+          fc.n_dups_injected <- fc.n_dups_injected + 1;
+          buffer_data dst (Data { src; dst; seq; batch })
+        end
+      end
+    end
+  in
   let procs =
     List.map
       (fun pid ->
+        let safra = Safra.create () in
+        let ds = Dscholten.create ~pid ~nprocs:n in
         {
           pid;
           engine =
@@ -167,24 +163,19 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
              | Some e -> e
              | None ->
                Router.engine routes ~pushdown pid ~edb:local_edbs.(pid));
-          safra = Safra.create ();
-          ds = Dscholten.create ~pid ~nprocs:n;
+          safra;
+          ds;
           held_token = None;
           probe_outstanding = false;
-          sent_row = Array.make n 0;
           received = 0;
           accepted = 0;
           channel_seen = channel_seen.(pid);
           local = Queue.create ();
-          base_resident = Database.total_tuples local_edbs.(pid);
-          next_seq = Array.make n 0;
-          unacked = Array.init n (fun _ -> Hashtbl.create 8);
-          seen_seq = Array.init n (fun _ -> Hashtbl.create 16);
-          pending = Array.init n (fun _ -> Queue.create ());
-          credit_used = Array.make n 0;
-          inflight_size = Array.init n (fun _ -> Hashtbl.create 8);
-          outbox_peak_rows = 0;
-          outbox_peak_bytes = 0;
+          chan =
+            Channel.create ~nprocs:n ~capacity ~reliable:faulty ~retry
+              ~clock:Unix.gettimeofday ~metrics:mx fc
+              (transmit ~src:pid ~safra ~ds);
+          seen = Channel.Dedup.create ();
           local_rounds = 0;
           crashes_fired = [];
           lost_iterations = 0;
@@ -199,156 +190,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
     List.iter (fun p -> Hashtbl.add tbl p.pid p) procs;
     fun pid -> Hashtbl.find tbl pid
   in
-  (* Engine-counter deltas around every bootstrap / step: the metric
-     totals then equal the final engine counters plus the lost_* work
-     folded in at crash time — exactly what [wr_stats] reports. *)
-  let observe_engine p f =
-    if not (Obs.Metrics.enabled mx) then f ()
-    else begin
-      let b = Seminaive.stats p.engine in
-      let pb = Seminaive.join_probes p.engine in
-      let r = f () in
-      let a = Seminaive.stats p.engine in
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.firings - b.Seminaive.firings)
-        "runtime.firings";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.new_tuples - b.Seminaive.new_tuples)
-        "runtime.new_tuples";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.duplicate_firings - b.Seminaive.duplicate_firings)
-        "runtime.duplicate_firings";
-      Obs.Metrics.incr mx
-        ~by:(Seminaive.join_probes p.engine - pb)
-        "joiner.probes";
-      r
-    end
-  in
   let stopped = ref false in
-  (* One transmission attempt of an already-registered batch. *)
-  let transmit_batch p dst seq pd =
-    let attempt = pd.pd_attempt in
-    pd.pd_attempt <- attempt + 1;
-    pd.pd_retry_at <- Unix.gettimeofday () +. retry_delay attempt;
-    let fate = Fault.fate plan ~src:p.pid ~dst ~seq ~attempt in
-    if fate.f_drop then fc.n_drops <- fc.n_drops + 1
-    else begin
-      (* Delay and reorder are no-ops here: mailbox scheduling is
-         already asynchronous, so added latency changes nothing
-         observable. They are only tallied. *)
-      if fate.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
-      if fate.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
-      buffer_data dst (Data { src = p.pid; dst; seq; batch = pd.pd_batch });
-      if fate.f_dup then begin
-        fc.n_dups_injected <- fc.n_dups_injected + 1;
-        buffer_data dst (Data { src = p.pid; dst; seq; batch = pd.pd_batch })
-      end
-    end
-  in
-  (* Hand one batch to the channel [p.pid -> dst]. The detectors count
-     at sequence-number granularity: one send per new batch here, one
-     receive per first-seen sequence number at the receiver —
-     retransmissions and duplicates are invisible to them, which keeps
-     the token balance (Safra) and the deficits (Dijkstra-Scholten)
-     sound over lossy channels. *)
-  let send_entries p dst entries =
-    let seq = p.next_seq.(dst) in
-    p.next_seq.(dst) <- seq + 1;
-    (match detector with
-     | Safra -> Safra.record_send p.safra
-     | Dijkstra_scholten -> Dscholten.record_send p.ds);
-    List.iter
-      (fun (_, _, replay) ->
-        if replay then fc.n_replayed <- fc.n_replayed + 1
-        else begin
-          p.sent_row.(dst) <- p.sent_row.(dst) + 1;
-          Obs.Metrics.incr mx "runtime.tuples_sent"
-        end)
-      entries;
-    let batch = List.map (fun (pred, tuple, _) -> (pred, tuple)) entries in
-    if credited then begin
-      let size = List.length entries in
-      p.credit_used.(dst) <- p.credit_used.(dst) + size;
-      if p.credit_used.(dst) > !peak_in_flight then
-        peak_in_flight := p.credit_used.(dst);
-      Obs.Metrics.max_gauge mx "runtime.peak_in_flight" p.credit_used.(dst);
-      Hashtbl.replace p.inflight_size.(dst) seq size
-    end;
-    if faulty then begin
-      let pd = { pd_batch = batch; pd_attempt = 0; pd_retry_at = 0.0 } in
-      Hashtbl.replace p.unacked.(dst) seq pd;
-      transmit_batch p dst seq pd
-    end
-    else buffer_data dst (Data { src = p.pid; dst; seq; batch })
-  in
-  let send_data ~replay p dst batch =
-    send_entries p dst (List.map (fun (pred, t) -> (pred, t, replay)) batch)
-  in
-  (* Move deferred tuples onto the wire, channel credit permitting;
-     batches are split to fit the remaining credit. *)
-  let flush_pending p =
-    match capacity with
-    | None -> ()
-    | Some k ->
-      for dst = 0 to n - 1 do
-        let q = p.pending.(dst) in
-        if not (Queue.is_empty q) then begin
-          let stalled = ref false in
-          while
-            (not (Queue.is_empty q))
-            && (p.credit_used.(dst) < k || (stalled := true; false))
-          do
-            let room = k - p.credit_used.(dst) in
-            let entries = ref [] in
-            let count = ref 0 in
-            while !count < room && not (Queue.is_empty q) do
-              entries := Queue.pop q :: !entries;
-              incr count
-            done;
-            send_entries p dst (List.rev !entries)
-          done;
-          if !stalled then begin
-            incr credit_stalls;
-            Obs.Metrics.incr mx "runtime.credit_stalls"
-          end
-        end
-      done
-  in
-  (* Hand a batch to the channel: directly when unbounded, through the
-     credit gate when a capacity is set. Deferral is never a loss — the
-     worker refuses to go passive while anything is pending, and an
-     un-Tacked batch is always outstanding then, so the credit that
-     flushes the remainder is guaranteed to arrive. *)
-  let dispatch_out ~replay p dst batch =
-    if not credited then send_data ~replay p dst batch
-    else begin
-      List.iter
-        (fun (pred, t) -> Queue.add (pred, t, replay) p.pending.(dst))
-        batch;
-      flush_pending p
-    end
-  in
-  let track_outbox_peak p =
-    if credited then begin
-      let rows = ref 0 in
-      Array.iter (fun q -> rows := !rows + Queue.length q) p.pending;
-      if !rows > p.outbox_peak_rows then begin
-        p.outbox_peak_rows <- !rows;
-        let bytes = ref 0 in
-        Array.iter
-          (fun q ->
-            Queue.iter
-              (fun (_, t, _) -> bytes := !bytes + (Tuple.arity t * 8))
-              q)
-          p.pending;
-        p.outbox_peak_bytes <- !bytes
-      end
-    end
-  in
-  let has_pending_out p =
-    (not (Queue.is_empty p.local))
-    || Array.exists (fun q -> not (Queue.is_empty q)) p.pending
-  in
   let route p produced =
     span ~pid:p.pid ~round:p.local_rounds Obs.Trace.Sending
       (fun () ->
@@ -361,8 +203,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
           (* In place the tuple is already the engine's delta: count
              its trip on the loop channel, nothing more. *)
           if Router.travels r p.pid tuple then begin
-            p.sent_row.(p.pid) <- p.sent_row.(p.pid) + 1;
-            Obs.Metrics.incr mx "runtime.tuples_sent";
+            Channel.count_local p.chan p.pid;
             p.received <- p.received + 1;
             Obs.Metrics.incr mx "runtime.tuples_received";
             p.accepted <- p.accepted + 1
@@ -371,8 +212,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
           List.iter
             (fun dst ->
               if local_delivery && dst = p.pid then begin
-                p.sent_row.(dst) <- p.sent_row.(dst) + 1;
-                Obs.Metrics.incr mx "runtime.tuples_sent";
+                Channel.count_local p.chan dst;
                 Queue.add (r, tuple) p.local
               end
               (* The channel history is kept only under a fault plan,
@@ -395,11 +235,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
        Array.iteri
          (fun dst batch ->
            if dst <> p.pid then begin
-             let b =
-               List.length batch
-               + Queue.length p.pending.(dst)
-               + p.credit_used.(dst)
-             in
+             let b = List.length batch + Channel.backlog_to p.chan dst in
              if b > !backlog then backlog := b
            end)
          batches;
@@ -407,10 +243,8 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
        Obs.Metrics.observe mx "dial.alpha" (Overload.alpha d p.pid)
      | None -> ());
     Array.iteri
-      (fun dst batch ->
-        if batch <> [] then dispatch_out ~replay:false p dst (List.rev batch))
-      batches;
-    track_outbox_peak p)
+      (fun dst batch -> Channel.send p.chan ~replay:false dst (List.rev batch))
+      batches)
   in
   let announce_termination () =
     (* Any staged tuples must precede the poison pill in every queue. *)
@@ -441,30 +275,13 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
       p.engine <- Router.engine routes ~pushdown p.pid ~edb:local_edbs.(p.pid);
       fc.n_recoveries <- fc.n_recoveries + 1;
       Obs.Trace.instant tr ~pid:p.pid ~round:p.local_rounds "recover";
-      route p (observe_engine p (fun () -> Seminaive.bootstrap p.engine));
+      route p
+        (Stats.observe_engine mx p.engine (fun () ->
+             Seminaive.bootstrap p.engine));
       for d = 0 to Array.length mailboxes - 1 do
         Mailbox.push mailboxes.(d) (Replay { requester = p.pid })
       done
     | _ -> ()
-  in
-  let pump_retransmits () =
-    let now = Unix.gettimeofday () in
-    List.iter
-      (fun p ->
-        span ~pid:p.pid ~round:p.local_rounds
-          Obs.Trace.Retransmission (fun () ->
-            Array.iteri
-              (fun dst tbl ->
-                Hashtbl.iter
-                  (fun seq pd ->
-                    if pd.pd_retry_at <= now then begin
-                      fc.n_retransmits <- fc.n_retransmits + 1;
-                      Obs.Metrics.incr mx "runtime.retransmits";
-                      transmit_batch p dst seq pd
-                    end)
-                  tbl)
-              p.unacked))
-      procs
   in
   let receive p in_name tuple =
     p.received <- p.received + 1;
@@ -492,10 +309,9 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
              it is sent even on fault-free runs. *)
           if faulty || credited then
             send_to_pid src (Tack { sender = src; receiver = dst; seq });
-          if faulty && Hashtbl.mem p.seen_seq.(src) seq then
+          if faulty && not (Channel.Dedup.first p.seen (src, seq)) then
             fc.n_dups_suppressed <- fc.n_dups_suppressed + 1
           else begin
-            if faulty then Hashtbl.replace p.seen_seq.(src) seq ();
             (match detector with
              | Safra -> Safra.record_receive p.safra
              | Dijkstra_scholten ->
@@ -510,20 +326,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
     | Token { dst; token } -> (proc_of dst).held_token <- Some token
     | Ack { dst } -> Dscholten.on_ack (proc_of dst).ds
     | Tack { sender; receiver; seq } ->
-      let p = proc_of sender in
-      if Hashtbl.mem p.unacked.(receiver) seq then begin
-        Hashtbl.remove p.unacked.(receiver) seq;
-        fc.n_acks <- fc.n_acks + 1
-      end;
-      if credited then begin
-        match Hashtbl.find_opt p.inflight_size.(receiver) seq with
-        | Some size ->
-          Hashtbl.remove p.inflight_size.(receiver) seq;
-          p.credit_used.(receiver) <- p.credit_used.(receiver) - size;
-          (* Freed credit: try to move deferred work. *)
-          flush_pending p
-        | None -> ()  (* duplicated Tack; credit already returned *)
-      end
+      Channel.ack (proc_of sender).chan ~dst:receiver ~seq
     | Replay { requester } ->
       List.iter
         (fun q ->
@@ -531,7 +334,7 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
             Ktbl.fold (fun key () acc -> key :: acc)
               q.channel_seen.(requester) []
           in
-          if history <> [] then dispatch_out ~replay:true q requester history)
+          Channel.send q.chan ~replay:true requester history)
         procs
     | Stop -> stopped := true
   in
@@ -603,15 +406,10 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
              | _ -> ());
             match limits.Overload.max_outbox_rows with
             | Some limit when !overload = None ->
-              let rows = ref 0 in
-              Array.iter
-                (fun q -> rows := !rows + Queue.length q)
-                p.pending;
-              if !rows > limit then begin
+              let rows = Channel.backlog p.chan in
+              if rows > limit then begin
                 overload :=
-                  Some
-                    (Overload.Outbox_budget
-                       { pid = p.pid; rows = !rows; limit });
+                  Some (Overload.Outbox_budget { pid = p.pid; rows; limit });
                 announce_termination ()
               end
             | _ -> ())
@@ -630,13 +428,20 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
   List.iter
     (fun p ->
       if List.mem p.pid fresh_pids then begin
-        route p (observe_engine p (fun () -> Seminaive.bootstrap p.engine));
+        route p
+        (Stats.observe_engine mx p.engine (fun () ->
+             Seminaive.bootstrap p.engine));
         Obs.Trace.instant tr ~pid:p.pid ~round:0 "bootstrap"
       end)
     procs;
   flush_outbuf ();
   while not !stopped do
-    if faulty then pump_retransmits ();
+    if faulty then
+      List.iter
+        (fun p ->
+          span ~pid:p.pid ~round:p.local_rounds Obs.Trace.Retransmission
+            (fun () -> Channel.retransmit_due p.chan))
+        procs;
     check_limits ();
     List.iter dispatch (note_depth (Mailbox.drain my_mailbox));
     List.iter drain_local procs;
@@ -654,7 +459,8 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
             let produced =
               span ~pid:p.pid ~round:p.local_rounds
                 Obs.Trace.Processing (fun () ->
-                  observe_engine p (fun () -> Seminaive.step p.engine))
+                  Stats.observe_engine mx p.engine (fun () ->
+                      Seminaive.step p.engine))
             in
             (* Routing has its own Sending span; nesting it inside
                Processing would count its time twice. *)
@@ -678,7 +484,9 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
         let acted =
           List.fold_left
             (fun acc p ->
-              if !stopped || has_pending_out p then acc
+              if !stopped || Channel.queued p.chan > 0
+                 || not (Queue.is_empty p.local)
+              then acc
               else
                 span ~pid:p.pid ~round:p.local_rounds
                   Obs.Trace.Termination_test (fun () -> passive_action p)
@@ -703,32 +511,10 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
      over so the counters balance even on aborted runs. *)
   flush_outbuf ();
   List.iter (fun p -> engines.(p.pid) <- Some p.engine) procs;
-  ( List.map
-      (fun p ->
-        let es = Seminaive.stats p.engine in
-        {
-          wr_pid = p.pid;
-          wr_stats =
-            {
-              Seminaive.iterations = es.Seminaive.iterations + p.lost_iterations;
-              firings = es.Seminaive.firings + p.lost_firings;
-              new_tuples = es.Seminaive.new_tuples + p.lost_new;
-              duplicate_firings =
-                es.Seminaive.duplicate_firings + p.lost_dup;
-            };
-          wr_sent_row = p.sent_row;
-          wr_received = p.received;
-          wr_accepted = p.accepted;
-          wr_base_resident = p.base_resident;
-          wr_outbox_peak_rows = p.outbox_peak_rows;
-          wr_outbox_peak_bytes = p.outbox_peak_bytes;
-        })
-      procs,
+  ( procs,
     fc,
     {
       we_overload = !overload;
-      we_credit_stalls = !credit_stalls;
-      we_peak_in_flight = !peak_in_flight;
       we_phase_ns = Obs.Phase_timer.totals ptimer;
       we_bulk_pushes = !bulk_pushes;
       we_bulk_messages = !bulk_messages;
@@ -753,7 +539,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      invalid_arg "Domain_runtime.run: capacity must be >= 1"
    | _ -> ());
   Overload.validate limits;
-  let t0 = Unix.gettimeofday () in
   let ndomains =
     match domains with
     | Some d ->
@@ -761,17 +546,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       min d n
     | None -> n
   in
-  let edb =
-    let combined = Database.copy edb in
-    List.iter
-      (fun (pred, tuple) ->
-        if List.mem pred rw.derived then
-          invalid_arg
-            "Domain_runtime.run: derived-predicate facts are not supported"
-        else ignore (Database.add_fact combined pred tuple))
-      rw.original.Program.facts;
-    combined
-  in
+  let edb = Router.base_edb rw edb in
   let domain_of pid = pid mod ndomains in
   let pushdown = config.Run_config.pushdown in
   (* In place (DESIGN.md §18) under the same condition as local
@@ -804,8 +579,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let acc_lost_firings = Array.make n 0 in
   let acc_lost_new = Array.make n 0 in
   let acc_lost_dup = Array.make n 0 in
-  let acc_outbox_rows = Array.make n 0 in
-  let acc_outbox_bytes = Array.make n 0 in
+  let acc_outbox = Array.make n (0, 0) in  (* peak rows, bytes *)
   let acc_credit_stalls = ref 0 in
   let acc_peak_in_flight = ref 0 in
   let acc_phase_ns = ref [] in
@@ -825,20 +599,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       in
       live := Some l;
       l
-  in
-  let incr_stats () =
-    match !live with
-    | None -> Stats.no_incr
-    | Some l ->
-      let s = Stratified.Live.totals l in
-      {
-        Stats.batches_applied = Stratified.Live.batches l;
-        tuples_inserted = s.Delta.s_inserted;
-        tuples_deleted = s.Delta.s_deleted;
-        tuples_rederived = s.Delta.s_rederived;
-        tuples_overdeleted = s.Delta.s_overdeleted;
-        incr_firings = s.Delta.s_firings;
-      }
   in
   let build_stats ~pooled () : Stats.t =
     let rounds = ref 0 in
@@ -865,12 +625,12 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
             active_rounds = iterations;
             store_rows = Overload.db_rows db;
             store_bytes = Overload.db_bytes db;
-            outbox_peak_rows = acc_outbox_rows.(pid);
-            outbox_peak_bytes = acc_outbox_bytes.(pid);
+            outbox_peak_rows = fst acc_outbox.(pid);
+            outbox_peak_bytes = snd acc_outbox.(pid);
           })
     in
     {
-      incr = incr_stats ();
+      incr = Stats.incr_of_live !live;
       nprocs = n;
       rounds = !rounds;
       per_proc;
@@ -901,6 +661,9 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     Router.pool ~edb rw.derived ~stored:Rewrite.out_pred (stores ())
   in
   let epoch () =
+    (* The deadline runs per epoch, not per session: an idle session
+       must not blow the watchdog while the client thinks. *)
+    let t0 = Unix.gettimeofday () in
     let mailboxes = Array.init ndomains (fun _ -> Mailbox.create ()) in
     let spawned =
       Array.init ndomains (fun d ->
@@ -918,32 +681,24 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     in
     let joined = Array.to_list spawned |> List.map Domain.join in
     List.iter
-      (fun r ->
-        let pid = r.wr_pid in
-        let es = Seminaive.stats (Option.get engines.(pid)) in
+      (fun p ->
+        let pid = p.pid in
         acc_lost_iterations.(pid) <-
-          acc_lost_iterations.(pid)
-          + r.wr_stats.Seminaive.iterations - es.Seminaive.iterations;
-        acc_lost_firings.(pid) <-
-          acc_lost_firings.(pid)
-          + r.wr_stats.Seminaive.firings - es.Seminaive.firings;
-        acc_lost_new.(pid) <-
-          acc_lost_new.(pid)
-          + r.wr_stats.Seminaive.new_tuples - es.Seminaive.new_tuples;
-        acc_lost_dup.(pid) <-
-          acc_lost_dup.(pid)
-          + r.wr_stats.Seminaive.duplicate_firings
-          - es.Seminaive.duplicate_firings;
+          acc_lost_iterations.(pid) + p.lost_iterations;
+        acc_lost_firings.(pid) <- acc_lost_firings.(pid) + p.lost_firings;
+        acc_lost_new.(pid) <- acc_lost_new.(pid) + p.lost_new;
+        acc_lost_dup.(pid) <- acc_lost_dup.(pid) + p.lost_dup;
         Array.iteri
           (fun dst v -> acc_sent.(pid).(dst) <- acc_sent.(pid).(dst) + v)
-          r.wr_sent_row;
-        acc_received.(pid) <- acc_received.(pid) + r.wr_received;
-        acc_accepted.(pid) <- acc_accepted.(pid) + r.wr_accepted;
-        if r.wr_outbox_peak_rows > acc_outbox_rows.(pid) then begin
-          acc_outbox_rows.(pid) <- r.wr_outbox_peak_rows;
-          acc_outbox_bytes.(pid) <- r.wr_outbox_peak_bytes
-        end)
-      (List.concat_map (fun (rs, _, _) -> rs) joined);
+          (Channel.sent_row p.chan);
+        acc_received.(pid) <- acc_received.(pid) + p.received;
+        acc_accepted.(pid) <- acc_accepted.(pid) + p.accepted;
+        let peak = Channel.outbox_peak p.chan in
+        if fst peak > fst acc_outbox.(pid) then acc_outbox.(pid) <- peak;
+        acc_credit_stalls := !acc_credit_stalls + Channel.credit_stalls p.chan;
+        acc_peak_in_flight :=
+          max !acc_peak_in_flight (Channel.peak_in_flight p.chan))
+      (List.concat_map (fun (ps, _, _) -> ps) joined);
     List.iter
       (fun (_, c, _) ->
         fc.Fault.n_drops <- fc.Fault.n_drops + c.Fault.n_drops;
@@ -961,14 +716,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         fc.n_restores <- fc.n_restores + c.Fault.n_restores)
       joined;
     let extras = List.map (fun (_, _, e) -> e) joined in
-    acc_credit_stalls :=
-      List.fold_left
-        (fun acc e -> acc + e.we_credit_stalls)
-        !acc_credit_stalls extras;
-    acc_peak_in_flight :=
-      List.fold_left
-        (fun acc e -> max acc e.we_peak_in_flight)
-        !acc_peak_in_flight extras;
     acc_phase_ns :=
       List.fold_left
         (fun acc e -> Obs.Phase_timer.merge_totals acc e.we_phase_ns)

@@ -17,41 +17,41 @@
     count, so processor [p] is served by domain [p mod domains] and the
     domain cooperatively schedules its processors.
 
-    With a non-trivial {!Fault.plan}, payload batches travel over the
-    reliable-delivery layer: per-channel sequence numbers,
-    receiver-side duplicate suppression, transport acknowledgements
-    and time-based bounded retransmission. The termination detectors
-    count at sequence-number granularity — one send per new batch, one
-    receive per first-seen sequence number — so retransmissions and
-    duplicates are invisible to them and detection stays sound over
-    lossy channels. A crash fires when the processor's local iteration
-    count reaches [cr_round]: the engine (volatile) is lost and
-    rebuilt from the base fragment, and every processor replays its
-    channel history to the rebuilt engine; delivery-layer and detector
-    state are stable. Recovery is immediate ([cr_down] does not apply)
-    and delivery is already asynchronous, so the plan's delay and
-    reorder faults are tallied but change nothing observable. Control
-    messages are never faulted.
+    Payload batches travel over {!Channel}, the channel layer shared
+    with the net runtime (DESIGN.md §19): per-channel sequence numbers,
+    and, under a non-trivial {!Fault.plan}, receiver-side duplicate
+    suppression, transport acknowledgements and time-based bounded
+    retransmission. The termination detectors count at
+    sequence-number granularity — one send per new batch, one receive
+    per first-seen sequence number — so retransmissions and duplicates
+    are invisible to them and detection stays sound over lossy
+    channels. A crash fires when the processor's local iteration count
+    reaches [cr_round]: the engine (volatile) is lost and rebuilt from
+    the base fragment, and every processor replays its channel history
+    to the rebuilt engine; channel and detector state are stable.
+    Recovery is immediate ([cr_down] does not apply) and delivery is
+    already asynchronous, so the plan's delay and reorder faults are
+    tallied but change nothing observable. Control messages are never
+    faulted.
 
-    With [capacity] the data channels run under credit-based
-    backpressure: at most [capacity] tuples are in flight (sent but not
-    yet acknowledged) per channel at any time; the receiver's transport
-    ack doubles as the credit grant, so it is sent even on fault-free
-    runs. Over-budget tuples wait in the sender's per-channel pending
-    queue — a deferral, never a loss. A processor with deferred output
-    refuses to act passive, which keeps both termination detectors
-    sound: an un-Tacked batch is always outstanding while anything is
-    deferred, so the flushing credit is guaranteed to arrive and
-    detection resumes after it. Control messages (tokens, acks, stop)
-    bypass the credit gate entirely — backpressure can therefore never
-    deadlock the control plane.
+    With [capacity], at most [capacity] tuples are in flight (sent but
+    not yet acknowledged) per data channel; the receiver's ack doubles
+    as the credit grant, so it is sent even on fault-free runs.
+    Over-budget tuples wait in the sender's channel queue — a
+    deferral, never a loss. A processor with queued output refuses to
+    act passive, which keeps both termination detectors sound: an
+    unacked batch is always outstanding while anything is queued, so
+    the flushing credit is guaranteed to arrive. Control messages
+    (tokens, acks, stop) bypass the credit gate, so backpressure can
+    never deadlock the control plane.
 
-    [limits] arms a watchdog (wall-clock deadline, per-processor
-    store/outbox row budgets). The worker that detects a breach
-    broadcasts the Stop poison pill; every worker returns its partial
-    results normally, and [run] raises {!Overload.Overload} carrying
-    the assembled partial statistics — a structured outcome instead of
-    an OOM or a hang, with no process ever killed.
+    [limits] arms a watchdog (a wall-clock deadline per drive,
+    per-processor store and outbox row budgets). The worker that
+    detects a breach broadcasts the Stop poison pill; every worker
+    returns its partial results normally, and [run] raises
+    {!Overload.Overload} carrying the assembled partial statistics — a
+    structured outcome instead of an OOM or a hang, with no process
+    ever killed.
 
     [dial] activates adaptive degradation: after each semi-naive step a
     worker feeds its processor's worst channel demand to the

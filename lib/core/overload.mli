@@ -18,17 +18,22 @@ open Datalog
 (** Why a run was aborted. *)
 type reason =
   | Deadline of { seconds : float; elapsed : float; round : int }
-      (** The wall-clock deadline passed. [round] is the round being
-          executed when the watchdog fired (0-based; the domain runtime
-          reports 0 since it has no global rounds). *)
+      (** The current drive ran past the wall-clock deadline. [round]
+          is the round being executed when the watchdog fired
+          (0-based; the domain and net runtimes report 0 since they
+          have no global rounds). *)
   | Store_budget of { pid : Pid.t; rows : int; limit : int }
       (** Processor [pid]'s tuple store grew past [limit] rows. *)
   | Outbox_budget of { pid : Pid.t; rows : int; limit : int }
-      (** Processor [pid]'s outbox + unsent channel backlog grew past
-          [limit] rows. *)
+      (** Processor [pid]'s outbox backlog grew past [limit] rows: on
+          the domain and net runtimes its {!Channel.backlog} (rows
+          queued for credit or in flight); on the simulator the rows
+          not yet transmitted (outbox, held and credit-queued). *)
 
 type limits = {
-  deadline : float option;  (** Wall-clock budget in seconds. *)
+  deadline : float option;
+      (** Wall-clock budget of each drive in seconds: the initial
+          evaluation and each applied batch, not an idle session. *)
   max_store_rows : int option;  (** Per-processor tuple-store budget. *)
   max_outbox_rows : int option;  (** Per-processor outbox budget. *)
 }

@@ -16,6 +16,16 @@ let mark_new seen key =
     true
   end
 
+let base_edb (rw : Rewrite.t) edb =
+  let combined = Database.copy edb in
+  List.iter
+    (fun (pred, tuple) ->
+      if List.mem pred rw.derived then
+        invalid_arg ("derived-predicate facts are not supported: " ^ pred)
+      else ignore (Database.add_fact combined pred tuple))
+    rw.original.Program.facts;
+  combined
+
 let build_edb ?(replicate = false) (rw : Rewrite.t) edb pid =
   let local = Database.create () in
   List.iter

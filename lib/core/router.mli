@@ -25,6 +25,12 @@ val mark_new : unit Ktbl.t -> Key.t -> bool
 (** [mark_new seen key] adds [key] to [seen]; [true] iff it was not
     there yet. *)
 
+val base_edb : Rewrite.t -> Database.t -> Database.t
+(** A copy of the input EDB plus the base facts written in the program
+    text: the EDB every runtime evaluates over.
+    @raise Invalid_argument on a fact of a derived predicate, which the
+    rewrite does not support. *)
+
 val build_edb :
   ?replicate:bool -> Rewrite.t -> Database.t -> Pid.t -> Database.t
 (** The base fragment resident at a processor: every tuple of the EDB

@@ -62,8 +62,8 @@ val with_capacity : int option -> t -> t
 val with_limits : Overload.limits -> t -> t
 
 val with_deadline : float option -> t -> t
-(** Set only the wall-clock budget of [limits], in seconds — the
-    per-request plumbing used by [datalogd] to map a client deadline
+(** Set only the wall-clock budget of [limits], in seconds per drive —
+    the per-request plumbing used by [datalogd] to map a client deadline
     onto the watchdog without disturbing the other budgets. *)
 
 val with_max_store_rows : int option -> t -> t

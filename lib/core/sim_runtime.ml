@@ -85,31 +85,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     Obs.Phase_timer.time ptimer (Obs.Trace.phase_name phase) (fun () ->
         Obs.Trace.span tr ~pid ~round phase f)
   in
-  (* Engine-counter deltas around every bootstrap / step call: metric
-     totals then equal final engine counters plus the work lost with
-     crashed engines — exactly the accounting [build_stats] does. *)
-  let observe_engine p f =
-    if not (Obs.Metrics.enabled mx) then f ()
-    else begin
-      let b = Seminaive.stats p.engine in
-      let pb = Seminaive.join_probes p.engine in
-      let r = f () in
-      let a = Seminaive.stats p.engine in
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.firings - b.Seminaive.firings)
-        "runtime.firings";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.new_tuples - b.Seminaive.new_tuples)
-        "runtime.new_tuples";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.duplicate_firings - b.Seminaive.duplicate_firings)
-        "runtime.duplicate_firings";
-      Obs.Metrics.incr mx
-        ~by:(Seminaive.join_probes p.engine - pb)
-        "joiner.probes";
-      r
-    end
-  in
   let nprocs = rw.nprocs in
   let plan = options.fault in
   (* With [Fault.none] the delivery layer is bypassed entirely and the
@@ -144,22 +119,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         bound)"
    | _ -> ());
   Overload.validate options.limits;
-  let t0 = Unix.gettimeofday () in
   let fc = Fault.counters () in
-  (* Base facts written in the program text join the EDB; derived facts
-     are not supported by the rewrite. *)
-  let edb =
-    let combined = Database.copy edb in
-    List.iter
-      (fun (pred, tuple) ->
-        if List.mem pred rw.derived then
-          invalid_arg
-            "Sim_runtime.run: derived-predicate facts are not supported"
-        else ignore (Database.add_fact combined pred tuple))
-      rw.original.Program.facts
-    |> ignore;
-    combined
-  in
+  let edb = Router.base_edb rw edb in
   let procs =
     Array.init nprocs (fun pid ->
         let local_edb =
@@ -371,7 +332,10 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let boot_row = Array.make nprocs 0 in
   Array.iter
     (fun p ->
-      let produced = observe_engine p (fun () -> Seminaive.bootstrap p.engine) in
+      let produced =
+        Stats.observe_engine mx p.engine (fun () ->
+            Seminaive.bootstrap p.engine)
+      in
       Obs.Trace.instant tr ~pid:p.pid ~round:0 "bootstrap";
       boot_row.(p.pid) <- List.length produced;
       collect_new p produced)
@@ -483,7 +447,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
        p.engine <-
          Router.engine routes ~pushdown:options.pushdown p.pid ~edb:local_edb;
        let produced =
-         observe_engine p (fun () -> Seminaive.bootstrap p.engine)
+         Stats.observe_engine mx p.engine (fun () ->
+             Seminaive.bootstrap p.engine)
        in
        collect_new p produced);
     p.alive <- true;
@@ -648,6 +613,9 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      cumulative budget across the whole session. *)
   let drive ~budget () =
   let start_round = !rounds in
+  (* The deadline runs per drive, not per session: an idle session
+     must not blow the watchdog while the client thinks. *)
+  let t0 = Unix.gettimeofday () in
   let continue = ref true in
   while !continue do
     if !rounds >= options.max_rounds then
@@ -733,7 +701,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           (fun () ->
             if p.alive && Seminaive.has_pending p.engine then begin
               let produced =
-                observe_engine p (fun () -> Seminaive.step p.engine)
+                Stats.observe_engine mx p.engine (fun () ->
+                    Seminaive.step p.engine)
               in
               p.active_rounds <- p.active_rounds + 1;
               any_progress := true;
@@ -896,20 +865,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       live := Some l;
       l
   in
-  let incr_stats () =
-    match !live with
-    | None -> Stats.no_incr
-    | Some l ->
-      let s = Stratified.Live.totals l in
-      {
-        Stats.batches_applied = Stratified.Live.batches l;
-        tuples_inserted = s.Delta.s_inserted;
-        tuples_deleted = s.Delta.s_deleted;
-        tuples_rederived = s.Delta.s_rederived;
-        tuples_overdeleted = s.Delta.s_overdeleted;
-        incr_firings = s.Delta.s_firings;
-      }
-  in
   let is_derived pred = List.mem pred rw.derived in
   let apply batch =
     let change = Stratified.Live.apply (oracle ()) batch in
@@ -1016,7 +971,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let model () = fst (assemble ()) in
   let close () =
     let answers, pooled = assemble () in
-    { answers; stats = build_stats ~incr:(incr_stats ()) ~pooled () }
+    let incr = Stats.incr_of_live !live in
+    { answers; stats = build_stats ~incr ~pooled () }
   in
   Session.v ~runtime:"sim" ~apply ~query ~model ~close
 

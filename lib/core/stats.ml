@@ -99,6 +99,36 @@ let no_incr =
     incr_firings = 0;
   }
 
+let incr_of_live = function
+  | None -> no_incr
+  | Some l ->
+    let s = Datalog.Stratified.Live.totals l in
+    {
+      batches_applied = Datalog.Stratified.Live.batches l;
+      tuples_inserted = s.Datalog.Delta.s_inserted;
+      tuples_deleted = s.s_deleted;
+      tuples_rederived = s.s_rederived;
+      tuples_overdeleted = s.s_overdeleted;
+      incr_firings = s.s_firings;
+    }
+
+let observe_engine mx engine f =
+  let open Datalog in
+  if not (Obs.Metrics.enabled mx) then f ()
+  else begin
+    let b = Seminaive.stats engine in
+    let pb = Seminaive.join_probes engine in
+    let r = f () in
+    let a = Seminaive.stats engine in
+    Obs.Metrics.incr mx ~by:(a.firings - b.firings) "runtime.firings";
+    Obs.Metrics.incr mx ~by:(a.new_tuples - b.new_tuples) "runtime.new_tuples";
+    Obs.Metrics.incr mx
+      ~by:(a.duplicate_firings - b.duplicate_firings)
+      "runtime.duplicate_firings";
+    Obs.Metrics.incr mx ~by:(Seminaive.join_probes engine - pb) "joiner.probes";
+    r
+  end
+
 type t = {
   nprocs : int;
   rounds : int;

@@ -113,6 +113,19 @@ type incr = {
 val no_incr : incr
 (** All-zero incremental counters. *)
 
+val incr_of_live : Datalog.Stratified.Live.t option -> incr
+(** The counters of a session's maintenance oracle; {!no_incr} before
+    its first batch. *)
+
+val observe_engine : Obs.Metrics.t -> Datalog.Seminaive.t -> (unit -> 'a) -> 'a
+(** [observe_engine mx engine f] runs [f] (a bootstrap or step of
+    [engine]) and adds the engine-counter deltas to [runtime.firings],
+    [runtime.new_tuples], [runtime.duplicate_firings] and
+    [joiner.probes]. Around every bootstrap and step, the metric
+    totals equal the final engine counters plus the work lost with
+    crashed engines, as the runtimes' stats count them. A disabled
+    registry costs nothing. *)
+
 type t = {
   nprocs : int;
   rounds : int;

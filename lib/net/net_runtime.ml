@@ -8,6 +8,7 @@ module Run_config = Pardatalog.Run_config
 module Strategy = Pardatalog.Strategy
 module Plan = Pardatalog.Plan
 module Backoff = Pardatalog.Backoff
+module Channel = Pardatalog.Channel
 module Sim_runtime = Pardatalog.Sim_runtime
 module Session = Pardatalog.Session
 
@@ -95,13 +96,6 @@ let now () = Unix.gettimeofday ()
 
 exception Worker_exit of int
 
-type pending = {
-  pd_batch : (string * Tuple.t) list;
-  pd_replay : bool;
-  mutable pd_attempt : int;
-  mutable pd_retry_at : float;
-}
-
 type wproc = {
   pid : int;
   mutable engine : Seminaive.t;
@@ -110,22 +104,15 @@ type wproc = {
   (* Resident base tuples; session updates adjust it. *)
   mutable base_resident : int;
   channel_seen : unit Ktbl.t array;
-  next_seq : int array;
-  unacked : (int, pending) Hashtbl.t array;
+  chan : Channel.t;
   (* (src pid, src incarnation, seq) — the incarnation in the key makes
      sequence reuse by a restarted peer harmless. *)
-  seen : (int * int * int, unit) Hashtbl.t;
+  seen : (int * int * int) Channel.Dedup.t;
   (* Receipts not yet shipped in a checkpoint: checkpoints carry only
      this delta and the coordinator accumulates. *)
   mutable seen_new : (int * int * int) list;
-  pending : (string * Tuple.t * bool) Queue.t array;
-  credit_used : int array;
-  inflight_size : (int, int) Hashtbl.t array;
   mutable received : int;
   mutable accepted : int;
-  sent_row : int array;
-  mutable outbox_peak_rows : int;
-  mutable outbox_peak_bytes : int;
   mutable crashes_fired : int list;
   (* Derived-store growth since the last checkpoint (bootstrap and
      step products, accepted wire injections): the next checkpoint
@@ -139,6 +126,7 @@ type wproc = {
 
 let snap_of ~store p : Wire.psnap =
   let es = Seminaive.stats p.engine in
+  let outbox_rows, outbox_bytes = Channel.outbox_peak p.chan in
   let rows, bytes =
     if store then
       let db = Seminaive.store p.engine in
@@ -151,14 +139,14 @@ let snap_of ~store p : Wire.psnap =
     ps_firings = es.Seminaive.firings;
     ps_new = es.Seminaive.new_tuples;
     ps_dup = es.Seminaive.duplicate_firings;
-    ps_sent_row = Array.copy p.sent_row;
+    ps_sent_row = Array.copy (Channel.sent_row p.chan);
     ps_received = p.received;
     ps_accepted = p.accepted;
     ps_base_resident = p.base_resident;
     ps_store_rows = rows;
     ps_store_bytes = bytes;
-    ps_outbox_rows = p.outbox_peak_rows;
-    ps_outbox_bytes = p.outbox_peak_bytes;
+    ps_outbox_rows = outbox_rows;
+    ps_outbox_bytes = outbox_bytes;
     ps_rounds = p.local_rounds;
   }
 
@@ -257,7 +245,6 @@ let worker_body ~addr ~worker ~inc =
   let lossy = plan.Fault.drop > 0.0 || cf.cf_partition > 0.0 in
   let ckpt_on = plan.Fault.checkpoint_every <> None in
   let capacity = cf.cf_capacity in
-  let credited = capacity <> None in
   let limits = cf.cf_limits in
   let nprocs = cf.cf_nprocs in
   let program =
@@ -276,6 +263,16 @@ let worker_body ~addr ~worker ~inc =
     List.filter (fun pid -> pid mod cf.cf_procs = worker)
       (List.init nprocs Fun.id)
   in
+  let fc = Fault.counters () in
+  (* The first retransmission waits well past a loaded coordinator's
+     ack round-trip, so a fault-free run never retransmits; later
+     attempts back off exponentially. *)
+  let retry = Backoff.make ~base_ms:20 ~cap_ms:160 () in
+  let transmit ~src ~dst ~seq ~attempt ~replay batch =
+    write
+      (Wire.Data
+         { src; dst; inc; seq; attempt; replay; batch = Wire.of_batch batch })
+  in
   let procs =
     List.map
       (fun pid ->
@@ -289,18 +286,13 @@ let worker_body ~addr ~worker ~inc =
           last_ckpt = 0;
           base_resident = Database.total_tuples local_edb;
           channel_seen = Array.init nprocs (fun _ -> Ktbl.create 64);
-          next_seq = Array.make nprocs 0;
-          unacked = Array.init nprocs (fun _ -> Hashtbl.create 8);
-          seen = Hashtbl.create 64;
+          chan =
+            Channel.create ~nprocs ~capacity ~reliable:faulty ~retry
+              ~clock:now fc (transmit ~src:pid);
+          seen = Channel.Dedup.create ();
           seen_new = [];
-          pending = Array.init nprocs (fun _ -> Queue.create ());
-          credit_used = Array.make nprocs 0;
-          inflight_size = Array.init nprocs (fun _ -> Hashtbl.create 8);
           received = 0;
           accepted = 0;
-          sent_row = Array.make nprocs 0;
-          outbox_peak_rows = 0;
-          outbox_peak_bytes = 0;
           crashes_fired =
             Option.value ~default:[] (List.assoc_opt pid cf.cf_crashes_done);
           ckpt_acc = [];
@@ -313,108 +305,8 @@ let worker_body ~addr ~worker ~inc =
     List.iter (fun p -> Hashtbl.add tbl p.pid p) procs;
     fun pid -> Hashtbl.find tbl pid
   in
-  let fc = Fault.counters () in
-  let credit_stalls = ref 0 in
-  let peak_in_flight = ref 0 in
   let breached = ref false in
   let frames_received = ref 0 in
-  (* The first retransmission waits well past a loaded coordinator's
-     ack round-trip, so a fault-free run never retransmits; later
-     attempts back off exponentially. *)
-  let retx = Backoff.make ~base_ms:20 ~cap_ms:160 () in
-  let transmit_batch p dst seq pd =
-    let attempt = pd.pd_attempt in
-    pd.pd_attempt <- attempt + 1;
-    pd.pd_retry_at <-
-      now () +. (float_of_int (Backoff.delay_ms retx attempt) /. 1000.);
-    write
-      (Wire.Data
-         {
-           src = p.pid;
-           dst;
-           inc;
-           seq;
-           attempt;
-           replay = pd.pd_replay;
-           batch = Wire.of_batch pd.pd_batch;
-         })
-  in
-  let send_entries p dst entries =
-    if entries <> [] then begin
-      let seq = p.next_seq.(dst) in
-      p.next_seq.(dst) <- seq + 1;
-      List.iter
-        (fun (_, _, replay) ->
-          if replay then fc.Fault.n_replayed <- fc.Fault.n_replayed + 1
-          else p.sent_row.(dst) <- p.sent_row.(dst) + 1)
-        entries;
-      let batch = List.map (fun (pred, tuple, _) -> (pred, tuple)) entries in
-      let replay = List.for_all (fun (_, _, r) -> r) entries in
-      if credited then begin
-        let size = List.length entries in
-        p.credit_used.(dst) <- p.credit_used.(dst) + size;
-        if p.credit_used.(dst) > !peak_in_flight then
-          peak_in_flight := p.credit_used.(dst);
-        Hashtbl.replace p.inflight_size.(dst) seq size
-      end;
-      let pd = { pd_batch = batch; pd_replay = replay;
-                 pd_attempt = 0; pd_retry_at = 0.0 } in
-      if faulty then Hashtbl.replace p.unacked.(dst) seq pd;
-      transmit_batch p dst seq pd
-    end
-  in
-  let flush_pending p =
-    match capacity with
-    | None -> ()
-    | Some k ->
-      for dst = 0 to nprocs - 1 do
-        let q = p.pending.(dst) in
-        if not (Queue.is_empty q) then begin
-          let stalled = ref false in
-          while
-            (not (Queue.is_empty q))
-            && (p.credit_used.(dst) < k || (stalled := true; false))
-          do
-            let room = k - p.credit_used.(dst) in
-            let entries = ref [] in
-            let count = ref 0 in
-            while !count < room && not (Queue.is_empty q) do
-              entries := Queue.pop q :: !entries;
-              incr count
-            done;
-            send_entries p dst (List.rev !entries)
-          done;
-          if !stalled then incr credit_stalls
-        end
-      done
-  in
-  let dispatch_out ~replay p dst batch =
-    if not credited then
-      send_entries p dst (List.map (fun (pred, t) -> (pred, t, replay)) batch)
-    else begin
-      List.iter
-        (fun (pred, t) -> Queue.add (pred, t, replay) p.pending.(dst))
-        batch;
-      flush_pending p
-    end
-  in
-  let track_outbox_peak p =
-    if credited then begin
-      let rows = ref 0 in
-      Array.iter (fun q -> rows := !rows + Queue.length q) p.pending;
-      if !rows > p.outbox_peak_rows then begin
-        p.outbox_peak_rows <- !rows;
-        let bytes = ref 0 in
-        Array.iter
-          (fun q ->
-            Queue.iter
-              (fun (_, t, _) -> bytes := !bytes + (Tuple.arity t * 8))
-              q)
-          p.pending;
-        p.outbox_peak_bytes <- !bytes
-      end
-    end
-  in
   let route ~replay p produced =
     let batches = Array.make nprocs [] in
     (* The channel history stays on even fault-free: a worker may be
@@ -431,26 +323,8 @@ let worker_body ~addr ~worker ~inc =
             (Router.destinations r p.pid tuple))
       produced;
     Array.iteri
-      (fun dst batch ->
-        if batch <> [] then dispatch_out ~replay p dst (List.rev batch))
-      batches;
-    track_outbox_peak p
-  in
-  let pump_retransmits () =
-    let t = now () in
-    List.iter
-      (fun p ->
-        Array.iteri
-          (fun dst tbl ->
-            Hashtbl.iter
-              (fun seq pd ->
-                if pd.pd_retry_at <= t then begin
-                  fc.Fault.n_retransmits <- fc.Fault.n_retransmits + 1;
-                  transmit_batch p dst seq pd
-                end)
-              tbl)
-          p.unacked)
-      procs
+      (fun dst batch -> Channel.send p.chan ~replay dst (List.rev batch))
+      batches
   in
   (* A scheduled crash is a genuine SIGKILL: flush a courtesy notice
      carrying the counters that die with the process, then kill
@@ -517,16 +391,15 @@ let worker_body ~addr ~worker ~inc =
        | None -> ());
       match limits.Overload.max_outbox_rows with
       | Some lim when not !breached ->
-        let rows = ref 0 in
-        Array.iter (fun q -> rows := !rows + Queue.length q) p.pending;
-        Array.iter
-          (fun tbl -> Hashtbl.iter (fun _ s -> rows := !rows + s) tbl)
-          p.inflight_size;
-        if !rows > lim then begin
+        let rows = Channel.backlog p.chan in
+        if rows > lim then begin
           breached := true;
           write
             (Wire.Breach
-               { reason = Overload.Outbox_budget { pid = p.pid; rows = !rows; limit = lim } })
+               {
+                 reason =
+                   Overload.Outbox_budget { pid = p.pid; rows; limit = lim };
+               })
         end
       | _ -> ()
     end
@@ -603,9 +476,7 @@ let worker_body ~addr ~worker ~inc =
   let all_idle () =
     List.for_all
       (fun p ->
-        (not (Seminaive.has_pending p.engine))
-        && Array.for_all (fun tbl -> Hashtbl.length tbl = 0) p.unacked
-        && Array.for_all Queue.is_empty p.pending)
+        (not (Seminaive.has_pending p.engine)) && Channel.idle p.chan)
       procs
   in
   let answers_of p =
@@ -633,32 +504,16 @@ let worker_body ~addr ~worker ~inc =
          history guarantees delivery), so an ack can never die with a
          destination worker. *)
       let p = proc_of dst in
-      if faulty && Hashtbl.mem p.seen (src, sinc, seq) then
+      if faulty && not (Channel.Dedup.first p.seen (src, sinc, seq)) then
         fc.Fault.n_dups_suppressed <- fc.Fault.n_dups_suppressed + 1
       else begin
-        if faulty then begin
-          Hashtbl.replace p.seen (src, sinc, seq) ();
-          p.seen_new <- (src, sinc, seq) :: p.seen_new
-        end;
+        if faulty then p.seen_new <- (src, sinc, seq) :: p.seen_new;
         accept_batch p batch
       end
     | Tack { src; dst; inc = tinc; seq } ->
       (* [src] is our processor: the ack of [Data src->dst seq]. Acks
          addressed to a previous incarnation are stale. *)
-      if tinc = inc then begin
-        let p = proc_of src in
-        if Hashtbl.mem p.unacked.(dst) seq then begin
-          Hashtbl.remove p.unacked.(dst) seq;
-          fc.Fault.n_acks <- fc.Fault.n_acks + 1
-        end;
-        if credited then
-          match Hashtbl.find_opt p.inflight_size.(dst) seq with
-          | Some size ->
-            Hashtbl.remove p.inflight_size.(dst) seq;
-            p.credit_used.(dst) <- p.credit_used.(dst) - size;
-            flush_pending p
-          | None -> ()
-      end
+      if tinc = inc then Channel.ack (proc_of src).chan ~dst ~seq
     | Inject { dst; batch } -> accept_batch (proc_of dst) batch
     | Patch { dels } ->
       (* Net deletions of a session batch. The coordinator sends this
@@ -769,8 +624,13 @@ let worker_body ~addr ~worker ~inc =
              worker;
              inc;
              faults = Fault.freeze ?mailbox_drops:None fc;
-             credit_stalls = !credit_stalls;
-             peak_in_flight = !peak_in_flight;
+             credit_stalls =
+               List.fold_left
+                 (fun acc p -> acc + Channel.credit_stalls p.chan) 0 procs;
+             peak_in_flight =
+               List.fold_left
+                 (fun acc p -> max acc (Channel.peak_in_flight p.chan))
+                 0 procs;
            });
       flush_blocking ();
       raise (Worker_exit 0)
@@ -823,7 +683,7 @@ let worker_body ~addr ~worker ~inc =
          | `Again -> ()
          | `Frames (fs, _) -> List.iter handle fs)
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    if lossy then pump_retransmits ();
+    if lossy then List.iter (fun p -> Channel.retransmit_due p.chan) procs;
     step_engines ();
     maybe_heartbeat ();
     flush_out ()
@@ -932,15 +792,9 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   in
   let shim = Shim.create ~plan ~partition in
   let t0 = now () in
-  (* The combined EDB every worker receives: input EDB plus the
-     program's base facts, serialized once so all workers intern its
-     symbols in the same order. *)
-  let combined_edb = Database.copy edb in
-  List.iter
-    (fun (pred, tuple) ->
-      let rel = Database.declare combined_edb pred (Tuple.arity tuple) in
-      ignore (Relation.add rel tuple))
-    rw.original.Program.facts;
+  (* The combined EDB every worker receives, serialized once so all
+     workers intern its symbols in the same order. *)
+  let combined_edb = Router.base_edb rw edb in
   (* [wedb] is re-serialized whenever a session batch changes the base
      facts: a worker restarted afterwards must rebuild from the
      patched EDB. [base_db] shadows the caller's input EDB (patched in
@@ -991,9 +845,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       Hashtbl.replace history pid r;
       r
   in
-  let payload_seen : (int * int * int * int, unit) Hashtbl.t =
-    Hashtbl.create 256
-  in
+  let payload_seen = Channel.Dedup.create () in
   let dumps : (int, Wire.restore) Hashtbl.t = Hashtbl.create 8 in
   (* Per pid: every (src, inc, seq) receipt covered by any checkpoint
      received so far — accumulated from per-checkpoint deltas, and a
@@ -1286,9 +1138,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       disarm ();
       let v = Shim.verdict shim ~src ~dst ~seq ~attempt in
       if not v.Shim.v_drop then begin
-        let key = (src, dst, sinc, seq) in
-        if not (Hashtbl.mem payload_seen key) then begin
-          Hashtbl.replace payload_seen key ();
+        if Channel.Dedup.first payload_seen (src, dst, sinc, seq) then begin
           let h = hist dst in
           h := (src, sinc, seq, batch) :: !h
         end;
@@ -1674,20 +1524,6 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       live_oracle := Some l;
       l
   in
-  let incr_stats () =
-    match !live_oracle with
-    | None -> Stats.no_incr
-    | Some l ->
-      let s = Stratified.Live.totals l in
-      {
-        Stats.batches_applied = Stratified.Live.batches l;
-        tuples_inserted = s.Delta.s_inserted;
-        tuples_deleted = s.Delta.s_deleted;
-        tuples_rederived = s.Delta.s_rederived;
-        tuples_overdeleted = s.Delta.s_overdeleted;
-        incr_firings = s.Delta.s_firings;
-      }
-  in
   (* Give live workers a short grace period to deliver their Bye
      (fault counters); they exit right after. *)
   let grace_byes () =
@@ -1819,7 +1655,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   in
   let stats : Stats.t =
     {
-      incr = incr_stats ();
+      incr = Stats.incr_of_live !live_oracle;
       nprocs = n;
       rounds =
         Array.fold_left

@@ -12,11 +12,14 @@
     their last checkpoint and replaying its channel history so that
     the pooled answers still equal the sequential evaluation.
 
-    Reliability reuses the in-process layer's design on real sockets:
+    Each worker's processors send through {!Pardatalog.Channel}, the
+    channel layer shared with the domain runtime (DESIGN.md §19):
     per-channel sequence numbers, receiver-side duplicate suppression
     keyed by (sender, {e incarnation}, sequence) — the incarnation
     makes post-restart sequence reuse harmless — acknowledgements
-    doubling as credit grants, and bounded retransmission.
+    doubling as credit grants, and bounded retransmission. The
+    coordinator, not the destination worker, acks each payload and
+    applies the fault {!Shim}.
 
     Termination is probe-based and sound across reconnects: the
     coordinator counts every frame it delivers to each worker since
@@ -73,8 +76,8 @@ val run :
 
     @raise Pardatalog.Overload.Overload on a worker budget breach or a
     blown coordinator deadline, with partial statistics.
-    @raise Invalid_argument on an adaptive dial or an inconsistent
-    program/spec.
+    @raise Invalid_argument on an adaptive dial, an inconsistent
+    program/spec, or a program fact of a derived predicate.
     @raise Failure when a worker exceeds its restart budget.
 
     Equivalent to {!open_session} followed immediately by

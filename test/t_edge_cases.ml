@@ -152,11 +152,17 @@ let robustness_tests =
         let rw =
           Result.get_ok (Strategy.hash_q ~nprocs:2 ~ve:[ "Y" ] ~vr:[ "Y" ] p)
         in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Sim_runtime.run rw ~edb:(Database.create ()));
-             false
-           with Invalid_argument _ -> true));
+        List.iter
+          (fun (name, run) ->
+            Alcotest.(check bool) (name ^ " raises") true
+              (try
+                 ignore (run rw ~edb:(Database.create ()));
+                 false
+               with Invalid_argument _ -> true))
+          [
+            ("sim", fun rw ~edb -> Sim_runtime.run rw ~edb);
+            ("domains", fun rw ~edb -> Domain_runtime.run rw ~edb);
+          ]);
     case "deep recursion: chain of 400 nodes" (fun () ->
         let n = 400 in
         let db = edb_of_edges (Workload.Graphgen.chain n) in

@@ -211,6 +211,23 @@ let unit_worker_clamp () =
         (Database.get r.Sim_runtime.answers "anc"))
     [ 1; 2; 5 ]
 
+(* A program fact of a derived predicate is rejected before any worker
+   starts, as on the in-process runtimes. *)
+let unit_derived_fact_rejected () =
+  let text = anc_text ^ "par(1,2). par(2,3). anc(9,9).\n" in
+  let program = Parser.program_exn text in
+  let rw =
+    Result.get_ok
+      (Strategy.hash_q ~seed:0 ~nprocs:2 ~ve:[ "Y" ] ~vr:[ "Y" ] program)
+  in
+  match
+    Net.Net_runtime.run ~config:Run_config.default ~program:text
+      ~spec:anc_spec ~procs:2 ~spawn:Net.Net_runtime.Fork rw
+      ~edb:(Database.create ())
+  with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let suites =
   [
     ( "net",
@@ -221,5 +238,7 @@ let suites =
           Alcotest.test_case "zero-probability plan: exact counts" `Quick
             unit_zero_fault_exact_counts;
           Alcotest.test_case "worker count clamps" `Quick unit_worker_clamp;
+          Alcotest.test_case "derived-predicate facts are rejected" `Quick
+            unit_derived_fact_rejected;
         ] );
   ]

@@ -267,6 +267,60 @@ let watchdog_cases =
           Alcotest.(check int) "limit echoed" 1 limit
         | exception Overload.Overload _ ->
           Alcotest.fail "expected an Outbox_budget reason");
+    case "outbox budget fires under a stalled channel (domains)" (fun () ->
+        (* Under capacity 64 nothing waits for credit: the rows in
+           flight alone exceed the budget, as [Channel.backlog] counts
+           them. *)
+        List.iter
+          (fun capacity ->
+            let config =
+              Run_config.(
+                default |> with_capacity (Some capacity)
+                |> with_limits
+                     { Overload.no_limits with max_outbox_rows = Some 1 })
+            in
+            match
+              Domain_runtime.run ~config (example3_rw ())
+                ~edb:(edb_of_edges (chain_edges 16))
+            with
+            | _ -> Alcotest.failf "capacity %d: expected Overload" capacity
+            | exception Overload.Overload
+                { reason = Outbox_budget { limit; _ }; _ } ->
+              Alcotest.(check int) "limit echoed" 1 limit
+            | exception Overload.Overload _ ->
+              Alcotest.failf "capacity %d: expected an Outbox_budget reason"
+                capacity)
+          [ 1; 64 ]);
+    case "a session deadline runs per drive, not while idle" (fun () ->
+        (* Opened with a 0.2 s deadline and left idle for 0.3 s, a
+           session must still apply a one-edge batch: the drive itself
+           takes milliseconds. *)
+        let config = Run_config.(default |> with_deadline (Some 0.2)) in
+        let blown =
+          List.filter_map
+            (fun (name, open_session) ->
+              let s : Session.t =
+                open_session ~config (example3_rw ())
+                  ~edb:(edb_of_edges (chain_edges 4))
+              in
+              Unix.sleepf 0.3;
+              match
+                Session.apply s
+                  (Update_batch.of_list
+                     [ Update_batch.insert "par" (Tuple.of_ints [ 4; 5 ]) ])
+              with
+              | _ ->
+                Alcotest.(check int) (name ^ ": closure of a 6-chain") 15
+                  (Database.cardinal (Session.close s).Session.answers "anc");
+                None
+              | exception Overload.Overload _ -> Some name)
+            [
+              ("sim", fun ~config -> Sim_runtime.open_session ~config);
+              ("domains", fun ~config -> Domain_runtime.open_session ~config);
+            ]
+        in
+        Alcotest.(check (list string)) "idle sessions that blew the deadline"
+          [] blown);
     case "deadline breach is structured on the domain runtime" (fun () ->
         let config =
           Run_config.(

@@ -13,4 +13,5 @@ let () =
    @ T_network.suites @ T_parallel.suites @ T_strategy.suites
    @ T_stratified.suites @ T_decompose.suites @ T_dscholten.suites @ T_props.suites @ T_random_sirups.suites @ T_edge_cases.suites @ T_coverage.suites
    @ T_check.suites @ T_fault.suites @ T_overload.suites @ T_obs.suites
-   @ T_storage.suites @ T_plan.suites @ T_incr.suites @ T_router.suites)
+   @ T_storage.suites @ T_plan.suites @ T_incr.suites @ T_router.suites
+   @ T_channel.suites)
